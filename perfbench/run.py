@@ -9,8 +9,8 @@ loop.  --seed is written into the config's eigen.seed, and
 MS_STABILITY_SEED is removed from the child's environment.
 
 A run repeats rounds of the workload's calls for --seconds (at least
-MIN_ROUNDS rounds), checks every output and that all reports made with
-one seed are byte-identical, and reports medians.
+the workload's min_rounds rounds), checks every output and that all
+reports made with one seed are byte-identical, and reports medians.
 Set-up is also timed in SETUP_PROBES extra interpreters that stop after
 loading the config, half before the calls and half after them.  With
 --trace 1 the run ends with one traced round and reports the per-layer
@@ -40,7 +40,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED_ENV = "MS_STABILITY_SEED"
 SETUP_PROBES = 4
-MIN_ROUNDS = 2        # untraced rounds in a run, however short --seconds is
 RUN_LIMIT_S = 150.0   # start no optional round that would end later than this
 KILL_AFTER_S = 170.0  # a call still running then is killed: a run ends within 180 s
 
@@ -52,13 +51,23 @@ LATTICE_B = (0.5, 1.0, 2.0, 4.0)
 class Workload:
     """Config for a seed, the CLI calls made on each seed of a round (the
     last is the main call), the output check, the lambda1 error of a
-    report, and how many seeds a round covers."""
+    report, how many seeds a round covers, and the fewest untraced
+    rounds in a run, however short --seconds is.  Odd seeds make their
+    calls in reverse order, so that each call's samples spread evenly
+    over the round."""
 
     config: Callable
     round_argv: list
     check: Callable
     lambda1_error: Callable
     seeds: int = 1
+    min_rounds: int = 2
+
+    def calls(self):
+        """(seed, argv) of one round, in the order they run."""
+        return [(seed, argv) for seed in range(self.seeds)
+                for argv in (self.round_argv if seed % 2 == 0
+                             else self.round_argv[::-1])]
 
 
 def eigen_seed(seed, k):
@@ -97,6 +106,10 @@ WORKLOADS = {
             text, 1.0, 1.0, 256, mode=1, amplitude=1.0),
     ),
     # Many small problems; the only workload that uses the --jobs pool.
+    # A round is --jobs 1, --jobs 2 on one seed and --jobs 2, --jobs 1 on
+    # a second: the seed moves the work by about 5%, and a call takes 8-12
+    # s, so two seeds in mirrored order fill a run and give each metric
+    # samples from both halves of it.  The two CSVs of a seed must match.
     "phase-lattice-64": Workload(
         config=lambda seed: {
             "geometry": {"kind": "strip", "a_values": list(LATTICE_A),
@@ -106,6 +119,8 @@ WORKLOADS = {
                     ["phase-diagram", "--jobs", "2"]],
         check=_phase_check,
         lambda1_error=checks.phase_lambda1_error,
+        seeds=2,
+        min_rounds=1,
     ),
 }
 
@@ -195,7 +210,7 @@ class Runner:
 
 def run_rounds(runner, work, seconds, trace):
     """The measured calls of one run, in order; failed children are None."""
-    min_rounds = 1 if trace else MIN_ROUNDS
+    min_rounds = 1 if trace else work.min_rounds
     calls = []
     round_s = []
     start = time.monotonic()
@@ -204,10 +219,9 @@ def run_rounds(runner, work, seconds, trace):
             and time.monotonic() - runner.started + statistics.median(round_s)
             <= RUN_LIMIT_S):
         t0 = time.monotonic()
-        for seed in range(work.seeds):
-            for argv in work.round_argv:
-                calls.append(runner.spawn(argv, label="call%d" % (len(calls) + 1),
-                                          seed=seed))
+        for seed, argv in work.calls():
+            calls.append(runner.spawn(argv, label="call%d" % (len(calls) + 1),
+                                      seed=seed))
         round_s.append(time.monotonic() - t0)
         if any(c is None for c in calls):
             break
