@@ -36,7 +36,6 @@ from .elliptic import (
     Grid,
     SlitField,
     SolveStats,
-    build_strip_system,
     dirichlet_energy,
     solve_jump_source,
     solve_state,
@@ -44,7 +43,6 @@ from .elliptic import (
 from .second_variation import (
     EigenStats,
     SecondVariationResult,
-    StabilityReport,
     TildeGram,
     TOperator,
     assemble_tilde_gram,

@@ -18,7 +18,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from . import elliptic, geometry
+from . import elliptic, geometry, second_variation
 from .errors import OddMode
 
 # tanh(t) for t >= 20 equals 1 to well below double rounding.
@@ -68,7 +68,7 @@ def strip_mode_field(n, amplitude, domain, grid):
     a = domain.half_height
     k = int(n) * math.pi / domain.period
     curve = geometry.flat_curve(domain.period, grid.nx)
-    system = elliptic.build_strip_system(domain, curve, grid)
+    system = elliptic.StripSystem(domain, curve, grid)
     x = system.abscissae
     y = a * (np.arange(grid.ny + 1) / grid.ny)
     values = amplitude * np.sin(k * x)[None, :] * np.sinh(k * (a - y))[:, None]
@@ -95,24 +95,25 @@ def mode_trace_slope(n, amplitude, a, b):
 def segment_min_eig(config, m=200):
     """Smallest eigenvalue of the segment form, H1-normalized.
 
-    Dense generalized eigensolve of  (K - h1 e_0 e_0' - h2 e_L e_L')
-    against (M + K) with P1 elements on m nodes; the sign decides
-    stability of the straight-segment critical pair.
+    Dense generalized eigensolve of the segment curve form
+    K - h1 e_0 e_0' - h2 e_L e_L' (from assemble_tilde_gram) against
+    M + K with P1 elements on m nodes; the sign decides stability of the
+    straight-segment critical pair.
     """
     if m < 16:
         raise ValueError("need at least 16 nodes for the segment eigensolve")
+    form = second_variation.assemble_tilde_gram(
+        config, restriction="none", m=m).matrix
+    # Zero row sums of the P1 stiffness: each end diagonal entry is minus
+    # its off-diagonal neighbour, which the wall terms leave untouched.
+    stiff = form.copy()
+    stiff[0, 0] = -form[0, 1]
+    stiff[-1, -1] = -form[-1, -2]
     h = config.length / (m - 1)
-    main = np.full(m, 2.0 / h)
-    main[0] = main[-1] = 1.0 / h
-    stiff = np.diag(main) + np.diag(np.full(m - 1, -1.0 / h), 1) \
-        + np.diag(np.full(m - 1, -1.0 / h), -1)
     mass_main = np.full(m, 4.0 * h / 6.0)
     mass_main[0] = mass_main[-1] = 2.0 * h / 6.0
     mass = np.diag(mass_main) + np.diag(np.full(m - 1, h / 6.0), 1) \
         + np.diag(np.full(m - 1, h / 6.0), -1)
-    form = stiff.copy()
-    form[0, 0] -= config.h1
-    form[-1, -1] -= config.h2
     vals = scipy.linalg.eigh(form, mass + stiff, eigvals_only=True,
                              subset_by_index=(0, 0))
     return float(vals[0])

@@ -173,34 +173,35 @@ def _analyze_strip(cfg, seed):
     return report, VERDICT_EXIT[verdict]
 
 
-def _analyze_segment(cfg, seed):
+def _segment_report(cfg, command):
+    """Verdict report shared by analyze and oracle on a segment."""
     geom = cfg.geometry
     seg = geom.segment()
     min_eig = analytic_oracle.segment_min_eig(seg, m=geom.m)
     verdict = second_variation.verdict_from_min_eig(min_eig, band=cfg.eigen.band)
     report = {
-        "command": "analyze",
+        "command": command,
         "kind": "segment",
         "verdict": verdict,
         "exit_code": VERDICT_EXIT[verdict],
-        "config": {
-            "length": seg.length,
-            "h1": seg.h1,
-            "h2": seg.h2,
-            "m": geom.m,
-            "band": cfg.eigen.band,
-            "seed": seed,
-        },
+        "config": {"length": seg.length, "h1": seg.h1, "h2": seg.h2,
+                   "m": geom.m, "band": cfg.eigen.band},
         "results": {
             "min_eig": _num(min_eig, "numeric"),
             "second_variation_constant": _num(-seg.h1 - seg.h2, "analytic"),
-            "lambda1": _num(0.0, "analytic"),
-            "mu": _num(math.inf, "analytic"),
         },
-        "notes": ["empty constraint: the nonlocal operator vanishes on a "
-                  "segment, so the verdict is the sign of the local form"],
     }
     return report, VERDICT_EXIT[verdict]
+
+
+def _analyze_segment(cfg, seed):
+    report, code = _segment_report(cfg, "analyze")
+    report["config"]["seed"] = seed
+    report["results"]["lambda1"] = _num(0.0, "analytic")
+    report["results"]["mu"] = _num(math.inf, "analytic")
+    report["notes"] = ["empty constraint: the nonlocal operator vanishes on a "
+                       "segment, so the verdict is the sign of the local form"]
+    return report, code
 
 
 def _run_analyze(cfg, seed):
@@ -451,23 +452,7 @@ def _run_compare(cfg, seed):
 def _run_oracle(cfg):
     geom = cfg.geometry
     if geom.kind == "segment":
-        seg = geom.segment()
-        min_eig = analytic_oracle.segment_min_eig(seg, m=geom.m)
-        verdict = second_variation.verdict_from_min_eig(
-            min_eig, band=cfg.eigen.band)
-        report = {
-            "command": "oracle",
-            "kind": "segment",
-            "verdict": verdict,
-            "exit_code": VERDICT_EXIT[verdict],
-            "config": {"length": seg.length, "h1": seg.h1, "h2": seg.h2,
-                       "m": geom.m, "band": cfg.eigen.band},
-            "results": {
-                "min_eig": _num(min_eig, "numeric"),
-                "second_variation_constant": _num(-seg.h1 - seg.h2, "analytic"),
-            },
-        }
-        return report, VERDICT_EXIT[verdict]
+        return _segment_report(cfg, "oracle")
 
     a = geom.a
     b = geom.b

@@ -388,10 +388,7 @@ def parse_config(data):
 
     out = data.get("output") or {}
     _require_mapping(out, "output")
-    _check_keys(out, {"path", "format"}, "output")
-    fmt = out.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigInvalid("output.format must be json or csv")
+    _check_keys(out, {"path"}, "output")
     out_path = out.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigInvalid("output.path must be a string")

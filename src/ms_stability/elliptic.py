@@ -20,6 +20,7 @@ perturbation solve.
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -155,7 +156,7 @@ class _Component:
         self.drift_load = bx[:n_u]
         self.diag = self.a_uu.diagonal()
 
-    def solve(self, rhs, rtol, x0=None):
+    def solve(self, rhs, rtol):
         """Jacobi-preconditioned CG on the unknown block."""
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
@@ -170,7 +171,7 @@ class _Component:
             count[0] += 1
 
         x, info = scipy.sparse.linalg.cg(
-            self.a_uu, rhs, x0=x0, rtol=rtol, atol=0.0,
+            self.a_uu, rhs, rtol=rtol, atol=0.0,
             maxiter=maxiter, M=precond, callback=tick,
         )
         if info != 0:
@@ -183,12 +184,63 @@ class _Component:
         )
         return x, ComponentStats(self.side, count[0], residual)
 
+    def curve_block_inverse(self):
+        """Curve-row block (a_uu^-1)_00 of the inverse stiffness, (nx, nx).
+
+        a_uu is block tridiagonal over grid rows, with nx x nx diagonal
+        blocks D_j and upper blocks U_j coupling row j to row j + 1.
+        Block elimination from the wall row toward the curve row keeps
+        X = inverse of the current Schur complement:
+        X <- (D_j - U_j X U_j^T)^-1.  Each block couples column i to
+        columns i - 1, i, i + 1 only, so D_j and U_j are held as three
+        coefficient rows and each step costs one dense inversion.
+        """
+        nx = self.nx
+        i = np.arange(nx)
+        shift = (i + np.arange(-1, 2)[:, None]) % nx  # (3, nx): column i + k
+        diag, upper = self._row_stencil(0, shift), self._row_stencil(1, shift)
+        x = None
+        for j in range(self.ny - 1, -1, -1):
+            s = np.zeros((nx, nx))
+            s[i, shift] = diag[j]
+            if x is not None:
+                # U X U^T = U (U X)^T since X is symmetric.
+                ux = (upper[j][:, :, None] * x[shift]).sum(axis=0)
+                s -= (upper[j][:, :, None] * ux.T[shift]).sum(axis=0)
+            x = _sym_inverse(s)
+        return x
+
+    def _row_stencil(self, dj, shift):
+        """Entries a_uu[(j, i), (j + dj, shift[k, i])]: shape (ny - dj, 3, nx)."""
+        nx = self.nx
+        j = np.arange(self.ny - dj)[:, None, None]
+        rows = np.broadcast_to(j * nx + np.arange(nx), (j.size,) + shift.shape)
+        cols = (j + dj) * nx + shift
+        return np.asarray(self.a_uu[rows.ravel(), cols.ravel()]).reshape(rows.shape)
+
     def energy(self, w_nodal, slope):
         """Gauss-rule Dirichlet energy of u = slope * x + w on this side."""
         wn = w_nodal.ravel()[self.idx]  # (ncell, 4)
         ux = np.einsum("cga,ca->cg", self.grad_x, wn) + slope
         uy = np.einsum("cga,ca->cg", self.grad_y, wn)
         return float(np.sum(self.wdet * (ux * ux + uy * uy)))
+
+
+def _sym_inverse(mat):
+    """Inverse of a nonsingular symmetric matrix (Bunch-Kaufman).
+
+    Chosen over Cholesky inversion for the sweep's Schur complements:
+    at nx = 128 on two cores with a two-thread OpenBLAS the sweep ran
+    about 1.5x faster this way.
+    """
+    ldu, piv, info = scipy.linalg.lapack.dsytrf(mat, lower=1, overwrite_a=1)
+    if info == 0:
+        inv, info = scipy.linalg.lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
+    if info != 0:
+        raise SolverDiverged("singular Schur complement in the row sweep "
+                             "(LAPACK info=%d)" % info)
+    # dsytri fills the lower triangle only.
+    return np.where(np.tri(len(inv), dtype=bool), inv, inv.T)
 
 
 class StripSystem:
@@ -210,10 +262,6 @@ class StripSystem:
     @property
     def abscissae(self):
         return self.curve.abscissae
-
-
-def build_strip_system(domain, curve, grid):
-    return StripSystem(domain, curve, grid)
 
 
 @dataclass
@@ -345,8 +393,7 @@ class JumpCoupling:
         return max(np.max(np.abs(self.c_upper)), np.max(np.abs(self.c_lower)))
 
 
-def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None,
-                      x0_upper=None, x0_lower=None):
+def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
     """Perturbation field v_phi driven by transporting the state jump.
 
     Solves, on each component, the weak problem  a(v, z) = -C[z, phi]
@@ -362,13 +409,10 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None,
     load_upper, load_lower = coupling.loads(phi)
     parts = []
     fields = {}
-    for comp, load, x0 in (
-        (system.upper, load_upper, x0_upper),
-        (system.lower, load_lower, x0_lower),
-    ):
+    for comp, load in ((system.upper, load_upper), (system.lower, load_lower)):
         rhs = np.zeros(comp.n_unknown)
         rhs[: comp.nx] = load
-        u, stats = comp.solve(rhs, rtol, x0=x0)
+        u, stats = comp.solve(rhs, rtol)
         parts.append(stats)
         fields[comp.side] = _stack_rows(comp, u, np.zeros(comp.nx))
     field = SlitField(

@@ -32,10 +32,9 @@ class NoConvergence(StabilityError):
     Carries the last iterate so callers can inspect how close it got.
     """
 
-    def __init__(self, message, last_value=None, history=None):
+    def __init__(self, message, last_value=None):
         super().__init__(message)
         self.last_value = last_value
-        self.history = history if history is not None else []
 
 
 class DegeneratePencil(StabilityError):

@@ -12,8 +12,19 @@ critical pair is equivalent to lambda_1(T) < 1, and dually to mu > 1
 where mu minimizes twice the bulk energy over fields whose induced
 perturbation has unit curve norm.
 
-Both eigenvalues are computed matrix-free with power iterations that
-share the assembled stiffness, coupling, and Gram matrices.
+Loads of the jump-transport problem act on the curve row only, so
+(T phi, psi)~ = psi . A phi with the dense m x m matrix
+
+    A = 2 sum_+- C+-^T (a_uu+-^-1)_00 C+-,
+
+where C+- are the coupling matrices and (a_uu^-1)_00 is the curve-row
+block of each side's inverse stiffness.  TOperator builds A once, by a
+block sweep over the grid rows, and both eigenvalues come from one
+dense generalized eigensolve of the restricted pencil (P^T A P, P^T G P):
+lambda_1 is its top eigenvalue and mu = 1 / lambda_1, so the two are
+algebraically tied rather than independent evidence.  TOperator.apply
+and the form evaluations keep the matrix-free CG route and serve as the
+independent reference for A.
 """
 
 import math
@@ -23,7 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import elliptic, geometry
-from .errors import DegeneratePencil, GramSingular, InvalidRestriction, NoConvergence
+from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
 DEFAULT_SEED = 1729
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
@@ -111,6 +122,11 @@ class TildeGram:
             self._chol = chol
         return self._chol
 
+    def reduced_matrix(self):
+        """P^T G P on the restriction basis; raises GramSingular."""
+        self._factorize()
+        return self._reduced
+
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
         chol = self._factorize()
@@ -178,12 +194,13 @@ class ApplyInfo:
 
 
 class TOperator:
-    """Matrix-free nonlocal operator T of the second variation.
+    """Nonlocal operator T of the second variation.
 
     Applying T to a perturbation phi solves the jump-transport problem
-    for phi on both components, pairs the solution back against the
-    curve (giving the dual vector r), and lifts r through the restricted
-    Gram inverse.  All applications reuse the same assembled systems.
+    for phi on both components by CG, pairs the solution back against
+    the curve (giving the dual vector r), and lifts r through the
+    restricted Gram inverse.  The spectrum instead comes from the dense
+    curve-space matrix A (see dual_matrix), built once on first use.
     """
 
     def __init__(self, state, gram, rtol=elliptic.DEFAULT_RTOL):
@@ -195,26 +212,51 @@ class TOperator:
         self.gram = gram
         self.rtol = rtol
         self.coupling = elliptic.JumpCoupling(state)
+        self._dual_matrix = None
+        self._spectrum = None
 
-    def apply(self, phi, warm=None):
-        """Return (T phi, ApplyInfo); phi is projected into the subspace.
-
-        warm, if given, is a dict reused across calls to warm-start the
-        inner CG solves with the previous bulk fields.
-        """
+    def apply(self, phi):
+        """Return (T phi, ApplyInfo); phi is projected into the subspace."""
         phi = self.gram.project(np.asarray(phi, dtype=float))
-        x0u = warm.get("upper") if warm else None
-        x0l = warm.get("lower") if warm else None
         vfield, stats = elliptic.solve_jump_source(
-            self.state, phi, rtol=self.rtol, coupling=self.coupling,
-            x0_upper=x0u, x0_lower=x0l,
-        )
-        if warm is not None:
-            warm["upper"] = vfield.unknown_vector("upper")
-            warm["lower"] = vfield.unknown_vector("lower")
+            self.state, phi, rtol=self.rtol, coupling=self.coupling)
         dual = self.coupling.dual_vector(vfield)
         t_phi = self.gram.apply_inverse(dual)
         return t_phi, ApplyInfo(dual=dual, field=vfield, stats=stats)
+
+    @property
+    def dual_matrix(self):
+        """Dense A with A @ phi the dual vector r of apply(phi).
+
+        A = 2 sum C^T (a_uu^-1)_00 C over both sides; a side with zero
+        coupling contributes nothing and skips its sweep.
+        """
+        if self._dual_matrix is None:
+            mat = np.zeros((self.gram.size, self.gram.size))
+            for comp, c in ((self.system.upper, self.coupling.c_upper),
+                            (self.system.lower, self.coupling.c_lower)):
+                if np.any(c):
+                    mat += 2.0 * c.T @ (comp.curve_block_inverse() @ c)
+            self._dual_matrix = mat
+        return self._dual_matrix
+
+    def spectrum(self):
+        """(eigenvalues of T on the restriction subspace, descending; note).
+
+        One dense eigensolve of the pencil (P^T A P, P^T G P), cached;
+        raises GramSingular if the restricted Gram is not definite.
+        """
+        if self._spectrum is None:
+            reduced = self.gram.reduced_matrix()
+            mat = self.dual_matrix
+            if not np.any(mat):
+                self._spectrum = (np.zeros(reduced.shape[0]), "operator is zero")
+            else:
+                p = self.gram.basis
+                values = scipy.linalg.eigh(p.T @ mat @ p, reduced,
+                                           eigvals_only=True)
+                self._spectrum = (values[::-1], "")
+        return self._spectrum
 
     def form_value(self, phi):
         """(T phi, phi)~ for a raw (unprojected) perturbation."""
@@ -272,122 +314,42 @@ def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
                                  mismatch=mismatch, stats=stats)
 
 
-def _power_iteration(op, tol, max_iter, rng, deflate=()):
-    """Largest eigenvalue of T on the restriction subspace."""
-    gram = op.gram
-    x = gram.project(rng.standard_normal(gram.size))
-    for vec in deflate:
-        x = x - gram.inner(x, vec) * vec
-    nrm = gram.norm(x)
-    if nrm == 0.0:
-        raise GramSingular("degenerate start vector; restriction too small")
-    x = x / nrm
-    warm = {}
-    lam_prev = None
-    lam = 0.0
-    cg_total = 0
-    change = math.inf
-    for it in range(1, max_iter + 1):
-        y, info = op.apply(x, warm=warm)
-        cg_total += info.stats.iterations
-        lam = float(x @ info.dual)
-        for vec in deflate:
-            y = y - gram.inner(y, vec) * vec
-        ny = gram.norm(y)
-        if ny <= 1e-300:
-            # T vanishes on the subspace; the spectrum is {0}.
-            return 0.0, x, EigenStats(it, True, 0.0, cg_total, "operator is zero")
-        if lam_prev is not None:
-            change = abs(lam - lam_prev)
-            if change <= tol * max(abs(lam), 1e-12):
-                return lam, y / ny, EigenStats(it, True, change, cg_total)
-        lam_prev = lam
-        x = y / ny
-    raise NoConvergence(
-        "power iteration stalled at %.12g after %d steps (last change %.3g)"
-        % (lam, max_iter, change),
-        last_value=lam,
-    )
+def _dense_stats(note):
+    return EigenStats(iterations=0, converged=True, change=0.0,
+                      cg_iterations=0, note=note)
 
+
+# tol, max_iter and seed are accepted and ignored: the dense eigensolve
+# has no tolerance, iteration cap or random start.
 
 def lambda1(op, tol=1e-8, max_iter=200, seed=None):
-    """Leading eigenvalue of T by seeded power iteration.
-
-    Stops when the Rayleigh quotient changes by less than tol relatively
-    between sweeps; raises NoConvergence otherwise.
-    """
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    value, _, stats = _power_iteration(op, tol, max_iter, rng)
-    return value, stats
+    """Leading eigenvalue of T on the restriction subspace."""
+    values, note = op.spectrum()
+    return float(values[0]), _dense_stats(note)
 
 
 def leading_eigenvalues(op, count=2, tol=1e-8, max_iter=200, seed=None):
-    """First few eigenvalues of T via power iteration with deflation."""
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    values = []
-    vectors = []
-    stats = []
-    for _ in range(count):
-        val, vec, st = _power_iteration(op, tol, max_iter, rng, deflate=vectors)
-        values.append(val)
-        vectors.append(vec)
-        stats.append(st)
-    return values, stats
+    """First count eigenvalues of T, descending."""
+    values, note = op.spectrum()
+    return [float(v) for v in values[:count]], [_dense_stats(note)] * count
 
 
 def mu(op, tol=1e-8, max_iter=200, seed=None):
     """Dual stability value: minimum of twice the bulk energy over fields
     whose induced curve perturbation has unit scalar-product norm.
 
-    Computed as the reciprocal of the top eigenvalue of the associated
-    operator pencil, by alternating the jump-transport solve and its
-    adjoint pairing (sharing all assembled matrices with T).  Returns
-    (value, EigenStats); the value is +inf when the constraint set is
-    empty (no coupling between curve and bulk).
+    The pencil of this problem has the same nonzero spectrum as T, so
+    mu = 1 / lambda_1.  Returns (value, EigenStats); the value is +inf
+    when the constraint set is empty (no coupling between curve and
+    bulk).
     """
-    gram = op.gram
     if op.coupling.magnitude() == 0.0:
-        return math.inf, EigenStats(0, True, 0.0, 0, "empty constraint")
-    rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
-    phi = gram.project(rng.standard_normal(gram.size))
-    nrm = gram.norm(phi)
-    if nrm == 0.0:
-        raise GramSingular("degenerate start vector; restriction too small")
-    vfield, st0 = elliptic.solve_jump_source(op.state, phi / nrm, rtol=op.rtol,
-                                             coupling=op.coupling)
-    cg_total = st0.iterations
-    rho_prev = None
-    rho = 0.0
-    change = math.inf
-    warm = {}
-    for it in range(1, max_iter + 1):
-        dual = op.coupling.dual_vector(vfield)
-        lifted = gram.apply_inverse(dual)
-        numer = float(lifted @ dual)
-        denom = 2.0 * elliptic.dirichlet_energy(vfield)
-        if denom <= 0.0 or numer <= 0.0:
-            raise DegeneratePencil(
-                "pencil iteration degenerated (energy %.3g, norm %.3g)"
-                % (denom, numer)
-            )
-        rho = numer / denom
-        if rho_prev is not None:
-            change = abs(rho - rho_prev)
-            if change <= tol * max(rho, 1e-12):
-                return 1.0 / rho, EigenStats(it, True, change, cg_total)
-        rho_prev = rho
-        scale = 1.0 / math.sqrt(numer)
-        vfield, st = elliptic.solve_jump_source(
-            op.state, lifted * scale, rtol=op.rtol, coupling=op.coupling,
-            x0_upper=warm.get("upper"), x0_lower=warm.get("lower"),
-        )
-        warm["upper"] = vfield.unknown_vector("upper")
-        warm["lower"] = vfield.unknown_vector("lower")
-        cg_total += st.iterations
-    raise NoConvergence(
-        "pencil iteration stalled at rho=%.12g after %d steps" % (rho, max_iter),
-        last_value=rho,
-    )
+        return math.inf, _dense_stats("empty constraint")
+    values, note = op.spectrum()
+    if values[0] <= 0.0:
+        raise DegeneratePencil(
+            "dual pencil is degenerate: lambda_1 = %.3g" % values[0])
+    return 1.0 / float(values[0]), _dense_stats(note)
 
 
 def verdict_from_eigenvalue(lam, band=0.02):
@@ -406,23 +368,3 @@ def verdict_from_min_eig(min_eig, band=0.02):
     if min_eig < -band:
         return "unstable"
     return "marginal"
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    """Outcome of a stability analysis of one critical pair."""
-
-    kind: str                  # "strip" or "segment"
-    verdict: str
-    band: float
-    restriction: str
-    lambda1: float = None
-    lambda1_stats: EigenStats = None
-    mu: float = None
-    mu_stats: EigenStats = None
-    min_eig: float = None      # segment only
-    grid_nx: int = None
-    grid_ny: int = None
-    sup_residual: float = None
-    min_jump: float = None
-    notes: tuple = ()

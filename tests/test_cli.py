@@ -323,8 +323,8 @@ def test_constant_datum_gives_tiny_operator(tmp_path, capsys):
 
 
 def test_zero_data_gives_empty_operator(tmp_path, capsys):
-    # identically zero state: the coupling vanishes exactly, the power
-    # iteration reports a zero operator and the dual value is +inf
+    # identically zero state: the coupling vanishes exactly, the
+    # eigensolve reports a zero operator and the dual value is +inf
     cfg = write_config(tmp_path, "zero.json", {
         "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                      "boundary": {"top": {"slope": 0.0},

@@ -5,11 +5,7 @@ import pytest
 import scipy.linalg
 
 import ms_stability as ms
-from ms_stability.errors import (
-    GramSingular,
-    InvalidRestriction,
-    NoConvergence,
-)
+from ms_stability.errors import GramSingular, InvalidRestriction
 
 from conftest import drift_domain, flat_setup
 
@@ -171,16 +167,10 @@ def test_leading_pair_is_degenerate_then_drops_to_next_mode():
     assert values[0] > values[2]
 
 
-def test_lambda1_no_convergence_raises_with_last_value():
-    op = make_operator(1.0, 1.0, 32)
-    with pytest.raises(NoConvergence) as err:
-        ms.lambda1(op, max_iter=2)
-    assert err.value.last_value is not None
-
-
 def test_dense_eigensolves_confirm_iterative_values():
     # Assemble the full discrete operators on a small grid and compare
-    # power/pencil iterations against dense generalized eigensolves.
+    # lambda1 and mu, both taken from the curve-space reduction, against
+    # dense generalized eigensolves with the whole stiffness matrix.
     n = 16
     domain = drift_domain(1.0, 1.0)
     curve = ms.flat_curve(1.0, n)
@@ -207,6 +197,45 @@ def test_dense_eigensolves_confirm_iterative_values():
     rho_dense = scipy.linalg.eigh(
         4.0 * c_glob @ g_hat @ c_glob.T, 2.0 * a_glob, eigvals_only=True)[-1]
     assert mu_iter == pytest.approx(1.0 / rho_dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("restriction", ["mean_zero", "endpoint_zero"])
+@pytest.mark.parametrize("a,b,amplitude,n", [
+    (1.0, 1.0, 0.05, 32), (1.0, 2.0, 0.08, 48), (0.5, 1.0, 0.03, 64),
+])
+def test_dual_matrix_matches_transport_solves_on_curved_mesh(
+        a, b, amplitude, n, restriction):
+    # The row sweep behind the dense A against the CG transport solve on
+    # a mapped (non-uniform) mesh: A P phi must be the dual vector.
+    domain = drift_domain(a, b)
+    curve = ms.sinusoidal_curve(b, n, mode=1, amplitude=amplitude)
+    state, _ = ms.solve_state(domain, curve, ms.Grid(n, n))
+    gram = ms.assemble_tilde_gram(curve, restriction=restriction)
+    op = ms.TOperator(state, gram)
+    mat = op.dual_matrix
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        phi = rng.standard_normal(n)
+        _, info = op.apply(phi)
+        dense = mat @ gram.project(phi)
+        assert np.linalg.norm(dense - info.dual) <= 1e-8 * np.linalg.norm(info.dual)
+    scale = np.max(np.abs(mat))
+    assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(mat).min() >= -1e-12 * scale
+
+
+def test_lambda1_converges_at_second_order():
+    # Observed order of |lambda1 - (2b/pi) tanh(2 pi a/b)| over the grids
+    # 32 -> 64 -> 128 (the README states second order).
+    for a, b in ((1.0, 1.0), (0.5, 1.0), (1.0, 2.0), (2.0, 1.0),
+                 (0.25, 4.0), (2.0, 0.5)):
+        errors = []
+        for n in (32, 64, 128):
+            _, curve, _, state, _ = flat_setup(a, b, n)
+            lam, _ = ms.lambda1(ms.TOperator(state, ms.assemble_tilde_gram(curve)))
+            errors.append(abs(lam - ms.lambda1_strip(a, b)))
+        orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
+        assert min(orders) >= 1.8, (a, b, errors, orders)
 
 
 def test_mu_reciprocal_duality_and_sign():
