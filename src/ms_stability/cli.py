@@ -20,12 +20,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import analytic_oracle, elliptic, geometry, second_variation, validation
-from .config import load_config
+from .config import GeometrySpec, load_config
 from .errors import ConfigInvalid, StabilityError
 
 EXIT_OK = 0
@@ -98,26 +98,42 @@ def _eigen_stats_dict(stats):
     }
 
 
+def _strip_operator(cfg, domain, curve):
+    """Solve the state on cfg's grid; return it, its stats and T."""
+    grid = elliptic.Grid(cfg.grid_nx, cfg.grid_ny)
+    state, solve_stats = elliptic.solve_state(domain, curve, grid, rtol=cfg.rtol)
+    gram = second_variation.assemble_tilde_gram(
+        curve, restriction=cfg.eigen.restriction)
+    return state, solve_stats, second_variation.TOperator(state, gram,
+                                                          rtol=cfg.rtol)
+
+
+def _flat_closed_form(geom, a, b):
+    """Flat-curve lambda_1 for geom's walls; nan if a wall has overtones.
+
+    Linear walls s+ x + c+ and s- x + c- scale T by (s+^2 + s-^2) / 2,
+    which is exactly 1 on the canonical pair.
+    """
+    if geom.top.cos or geom.top.sin or geom.bottom.cos or geom.bottom.sin:
+        return math.nan
+    scale = (geom.top.slope ** 2 + geom.bottom.slope ** 2) / 2.0
+    return scale * analytic_oracle.lambda1_strip(a, b)
+
+
 # ----------------------------------------------------------------- analyze
 
 def _analyze_strip(cfg, seed):
     geom = cfg.geometry
     domain = geom.strip_domain()
     curve = geom.curve.build(domain.period, cfg.grid_nx)
-    grid = elliptic.Grid(cfg.grid_nx, cfg.grid_ny)
-    state, solve_stats = elliptic.solve_state(domain, curve, grid, rtol=cfg.rtol)
+    state, solve_stats, op = _strip_operator(cfg, domain, curve)
     crit = validation.criticality_residuals(state)
-    gram = second_variation.assemble_tilde_gram(
-        curve, restriction=cfg.eigen.restriction)
-    op = second_variation.TOperator(state, gram, rtol=cfg.rtol)
-    lam, lam_stats = second_variation.lambda1(
-        op, tol=cfg.eigen.tol, max_iter=cfg.eigen.max_iter, seed=seed)
+    lam, lam_stats = second_variation.lambda1(op)
     verdict = second_variation.verdict_from_eigenvalue(lam, band=cfg.eigen.band)
 
     mu_val = mu_stats = None
     if cfg.eigen.compute_mu:
-        mu_val, mu_stats = second_variation.mu(
-            op, tol=cfg.eigen.tol, max_iter=cfg.eigen.max_iter, seed=seed)
+        mu_val, mu_stats = second_variation.mu(op)
 
     notes = []
     if lam_stats.note:
@@ -139,10 +155,9 @@ def _analyze_strip(cfg, seed):
         "sup_residual": _num(crit.sup_residual, "numeric"),
         "min_jump": _num(crit.min_jump, "numeric"),
     }
-    if curve.max_height() == 0.0:
-        results["lambda1_analytic_flat"] = _num(
-            analytic_oracle.lambda1_strip(domain.half_height, domain.period),
-            "analytic")
+    lam_flat = _flat_closed_form(geom, domain.half_height, domain.period)
+    if curve.max_height() == 0.0 and not math.isnan(lam_flat):
+        results["lambda1_analytic_flat"] = _num(lam_flat, "analytic")
 
     report = {
         "command": "analyze",
@@ -212,42 +227,27 @@ def _run_analyze(cfg, seed):
 
 # ----------------------------------------------------------- phase-diagram
 
-def _phase_point(cfg, seed, index, a, b):
-    geom = cfg.geometry
-    domain = geometry.StripDomain(
-        half_height=a, period=b,
-        top=geom.top.to_boundary_data(b),
-        bottom=geom.bottom.to_boundary_data(b),
-    )
-    curve = geometry.flat_curve(b, cfg.grid_nx)
-    grid = elliptic.Grid(cfg.grid_nx, cfg.grid_ny)
-    state, _ = elliptic.solve_state(domain, curve, grid, rtol=cfg.rtol)
-    crit = validation.criticality_residuals(state)
-    gram = second_variation.assemble_tilde_gram(
-        curve, restriction=cfg.eigen.restriction)
-    op = second_variation.TOperator(state, gram, rtol=cfg.rtol)
-    lam, _ = second_variation.lambda1(
-        op, tol=cfg.eigen.tol, max_iter=cfg.eigen.max_iter,
-        seed=[seed, index[0], index[1]])
-    lam_an = analytic_oracle.lambda1_strip(a, b)
+def _phase_point(cfg, a, b):
+    domain = cfg.geometry.strip_domain(a, b)
+    state, _, op = _strip_operator(cfg, domain,
+                                   geometry.flat_curve(b, cfg.grid_nx))
+    lam, _ = second_variation.lambda1(op)
     verdict = second_variation.verdict_from_eigenvalue(lam, band=cfg.eigen.band)
-    return (a, b, lam, lam_an, verdict, cfg.grid_nx, cfg.grid_ny,
-            crit.sup_residual)
+    return (a, b, lam, _flat_closed_form(cfg.geometry, a, b), verdict,
+            cfg.grid_nx, cfg.grid_ny,
+            validation.criticality_residuals(state).sup_residual)
 
 
-def _run_phase_diagram(cfg, seed, jobs):
+def _run_phase_diagram(cfg, jobs):
     _require_strip(cfg, "phase-diagram")
     geom = cfg.geometry
     if geom.a_values is None or geom.b_values is None:
         raise ConfigInvalid(
             "phase-diagram needs geometry.a_values and geometry.b_values")
-    points = [((i, j), a, b)
-              for i, a in enumerate(geom.a_values)
-              for j, b in enumerate(geom.b_values)]
+    points = [(a, b) for a in geom.a_values for b in geom.b_values]
 
     def worker(point):
-        index, a, b = point
-        return _phase_point(cfg, seed, index, a, b)
+        return _phase_point(cfg, *point)
 
     if jobs > 1 and points:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -290,9 +290,7 @@ def _run_validate(cfg, seed):
             "b": domain.period,
             "grid_nx": cfg.grid_nx,
             "grid_ny": cfg.grid_ny,
-            "flow": {"kind": cfg.validate.flow.kind,
-                     "mode": cfg.validate.flow.mode,
-                     "amplitude": cfg.validate.flow.amplitude},
+            "flow": asdict(cfg.validate.flow),
             "step": cfg.validate.step,
             "first_tol": cfg.validate.first_tol,
             "second_tol": cfg.validate.second_tol,
@@ -325,15 +323,6 @@ def _run_validate(cfg, seed):
 
 # ----------------------------------------------------------------- compare
 
-def _drift_domain(a, b):
-    """Canonical separated pair: slopes +1 / -1 with a unit offset."""
-    return geometry.StripDomain(
-        a, b,
-        geometry.BoundaryData(1.0, lambda x: np.ones_like(np.asarray(x, float))),
-        geometry.BoundaryData(-1.0),
-    )
-
-
 def _state_probe_error(n_grid, a, b):
     """Max nodal error against the cosh-profile wall-datum solution."""
     k = 2.0 * math.pi / b
@@ -354,7 +343,7 @@ def _state_probe_error(n_grid, a, b):
 
 def _jump_probe_error(n_grid, a, b):
     """Max nodal error of the transport solve against the sinh-mode field."""
-    domain = _drift_domain(a, b)
+    domain = GeometrySpec("strip").strip_domain(a, b)
     curve = geometry.flat_curve(b, n_grid)
     grid = elliptic.Grid(n_grid, n_grid)
     state, _ = elliptic.solve_state(domain, curve, grid)
@@ -374,13 +363,10 @@ def _run_compare(cfg, seed):
     if a is None or b is None:
         raise ConfigInvalid("compare needs geometry.a and geometry.b")
 
-    domain = _drift_domain(a, b)
+    # the probes use the canonical wall pair whatever geometry.boundary says
     curve = geometry.flat_curve(b, cfg.grid_nx)
-    grid = elliptic.Grid(cfg.grid_nx, cfg.grid_ny)
-    state, _ = elliptic.solve_state(domain, curve, grid, rtol=cfg.rtol)
-    gram = second_variation.assemble_tilde_gram(
-        curve, restriction=cfg.eigen.restriction)
-    op = second_variation.TOperator(state, gram, rtol=cfg.rtol)
+    _, _, op = _strip_operator(cfg, GeometrySpec("strip").strip_domain(a, b),
+                               curve)
 
     x = curve.abscissae
     mode_rows = []
@@ -527,7 +513,7 @@ def _build_parser():
         cmd.add_argument("--grid", default=None, metavar="NX,NY",
                          help="override grid.nx and grid.ny")
         cmd.add_argument("--restriction", default=None,
-                         choices=("mean_zero", "endpoint_zero", "none"),
+                         choices=second_variation.RESTRICTIONS,
                          help="override eigen.restriction")
         cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                          help="worker threads (phase-diagram only)")
@@ -547,7 +533,7 @@ def main(argv=None):
             report, code = _run_analyze(cfg, seed)
             _emit(_json_text(report), cfg.out_path)
         elif args.command == "phase-diagram":
-            csv_text, code = _run_phase_diagram(cfg, seed, args.jobs)
+            csv_text, code = _run_phase_diagram(cfg, args.jobs)
             _emit(csv_text, cfg.out_path)
         elif args.command == "validate":
             report, code = _run_validate(cfg, seed)

@@ -10,12 +10,13 @@ reproducible.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import elliptic, geometry, validation
 from .errors import ConfigInvalid
+from .second_variation import RESTRICTIONS
 
 SECTIONS = ("geometry", "grid", "solver", "eigen", "validate", "output")
 
@@ -30,6 +31,15 @@ def _check_keys(obj, allowed, path):
         if key not in allowed:
             raise ConfigInvalid("unknown key %s.%s (allowed: %s)"
                                 % (path, key, ", ".join(sorted(allowed))))
+
+
+def _section(obj, key, path, allowed):
+    """obj[key] as a mapping with only allowed keys; {} when absent or null."""
+    sub = obj.get(key)
+    sub = {} if sub is None else sub
+    _require_mapping(sub, path)
+    _check_keys(sub, allowed, path)
+    return sub
 
 
 def _number(obj, key, path, default=None, required=False, positive=False):
@@ -102,14 +112,15 @@ def _parse_overtones(obj, key, path):
     return tuple(out)
 
 
-def _parse_boundary_side(obj, path, default_slope, default_const):
+def _parse_boundary_side(obj, path, default):
+    """A wall that is given keeps the default slope, not its constant."""
     if obj is None:
-        return BoundarySpec(default_slope, default_const)
+        return default
     _require_mapping(obj, path)
     _check_keys(obj, {"slope", "constant", "cos", "sin"}, path)
     return BoundarySpec(
-        slope=_number(obj, "slope", path, default=default_slope),
-        constant=_number(obj, "constant", path, default=0.0),
+        slope=_number(obj, "slope", path, default=default.slope),
+        constant=_number(obj, "constant", path, default=BoundarySpec.constant),
         cos=_parse_overtones(obj, "cos", path),
         sin=_parse_overtones(obj, "sin", path),
     )
@@ -141,12 +152,10 @@ class CurveSpec:
                                          phase=self.phase)
 
 
-def _parse_curve(obj, path):
-    if obj is None:
-        return CurveSpec()
-    _require_mapping(obj, path)
-    _check_keys(obj, {"m", "heights", "mode", "amplitude", "phase"}, path)
-    m = _integer(obj, "m", path, default=None, minimum=8)
+def _parse_curve(parent, path):
+    obj = _section(parent, "curve", path,
+                   {"m", "heights", "mode", "amplitude", "phase"})
+    m = _integer(obj, "m", path, default=CurveSpec.m, minimum=8)
     heights = obj.get("heights", "flat")
     if isinstance(heights, str):
         if heights != "flat":
@@ -154,9 +163,11 @@ def _parse_curve(obj, path):
         if "mode" in obj or "amplitude" in obj or "phase" in obj:
             return CurveSpec(
                 m=m, kind="sine",
-                mode=_integer(obj, "mode", path, default=1, minimum=1),
-                amplitude=_number(obj, "amplitude", path, default=0.0),
-                phase=_number(obj, "phase", path, default=0.0),
+                mode=_integer(obj, "mode", path, default=CurveSpec.mode,
+                              minimum=1),
+                amplitude=_number(obj, "amplitude", path,
+                                  default=CurveSpec.amplitude),
+                phase=_number(obj, "phase", path, default=CurveSpec.phase),
             )
         return CurveSpec(m=m)
     if isinstance(heights, list):
@@ -173,13 +184,6 @@ def _parse_curve(obj, path):
                 "%s.heights has %d samples, expected m = %d"
                 % (path, len(vals), m))
         return CurveSpec(m=m, kind="samples", heights=vals)
-    if "amplitude" in obj or "mode" in obj:
-        return CurveSpec(
-            m=m, kind="sine",
-            mode=_integer(obj, "mode", path, default=1, minimum=1),
-            amplitude=_number(obj, "amplitude", path, default=0.0),
-            phase=_number(obj, "phase", path, default=0.0),
-        )
     raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
 
 
@@ -206,9 +210,10 @@ class GeometrySpec:
     b: float = None
     a_values: tuple = None
     b_values: tuple = None
-    curve: CurveSpec = field(default_factory=CurveSpec)
-    top: BoundarySpec = field(default_factory=lambda: BoundarySpec(1.0, 1.0))
-    bottom: BoundarySpec = field(default_factory=lambda: BoundarySpec(-1.0, 0.0))
+    curve: CurveSpec = CurveSpec()
+    # the canonical separated pair: x + 1 above, -x below
+    top: BoundarySpec = BoundarySpec(1.0, 1.0)
+    bottom: BoundarySpec = BoundarySpec(-1.0, 0.0)
     length: float = None
     h1: float = None
     h2: float = None
@@ -236,26 +241,20 @@ def _parse_geometry(obj):
     if kind == "strip":
         allowed = {"kind", "a", "b", "a_values", "b_values", "curve", "boundary"}
         _check_keys(obj, allowed, path)
-        boundary = obj.get("boundary")
-        if boundary is not None:
-            _require_mapping(boundary, path + ".boundary")
-            _check_keys(boundary, {"top", "bottom"}, path + ".boundary")
-            top = _parse_boundary_side(boundary.get("top"),
-                                       path + ".boundary.top", 1.0, 1.0)
-            bottom = _parse_boundary_side(boundary.get("bottom"),
-                                          path + ".boundary.bottom", -1.0, 0.0)
-        else:
-            top = BoundarySpec(1.0, 1.0)
-            bottom = BoundarySpec(-1.0, 0.0)
+        boundary = _section(obj, "boundary", path + ".boundary",
+                            {"top", "bottom"})
         return GeometrySpec(
             kind="strip",
             a=_number(obj, "a", path, positive=True),
             b=_number(obj, "b", path, positive=True),
             a_values=_parse_values(obj, "a_values", path),
             b_values=_parse_values(obj, "b_values", path),
-            curve=_parse_curve(obj.get("curve"), path + ".curve"),
-            top=top,
-            bottom=bottom,
+            curve=_parse_curve(obj, path + ".curve"),
+            top=_parse_boundary_side(boundary.get("top"), path + ".boundary.top",
+                                     GeometrySpec.top),
+            bottom=_parse_boundary_side(boundary.get("bottom"),
+                                        path + ".boundary.bottom",
+                                        GeometrySpec.bottom),
         )
     if kind == "segment":
         _check_keys(obj, {"kind", "length", "h1", "h2", "m"}, path)
@@ -297,11 +296,11 @@ class FlowDirectionSpec:
 
 @dataclass(frozen=True)
 class ValidateSpec:
-    flow: FlowDirectionSpec = field(default_factory=FlowDirectionSpec)
-    step: float = 5e-3
-    first_tol: float = 1e-4
-    second_tol: float = 0.05
-    criticality_tol: float = 0.05
+    flow: FlowDirectionSpec = FlowDirectionSpec()
+    step: float = validation.DEFAULT_STEP
+    first_tol: float = validation.DEFAULT_FIRST_TOL
+    second_tol: float = validation.DEFAULT_SECOND_TOL
+    criticality_tol: float = validation.DEFAULT_CRITICALITY_TOL
 
 
 @dataclass(frozen=True)
@@ -309,9 +308,9 @@ class RunConfig:
     geometry: GeometrySpec
     grid_nx: int = 64
     grid_ny: int = 64
-    rtol: float = 1e-10
-    eigen: EigenSpec = field(default_factory=EigenSpec)
-    validate: ValidateSpec = field(default_factory=ValidateSpec)
+    rtol: float = elliptic.DEFAULT_RTOL
+    eigen: EigenSpec = EigenSpec()
+    validate: ValidateSpec = ValidateSpec()
     out_path: str = None
 
 
@@ -323,72 +322,57 @@ def parse_config(data):
         raise ConfigInvalid("missing required section: geometry")
     geom = _parse_geometry(data["geometry"])
 
-    grid = data.get("grid") or {}
-    _require_mapping(grid, "grid")
-    _check_keys(grid, {"nx", "ny"}, "grid")
-    nx = _integer(grid, "nx", "grid", default=64, minimum=16)
-    ny = _integer(grid, "ny", "grid", default=64, minimum=16)
+    grid = _section(data, "grid", "grid", {"nx", "ny"})
+    nx = _integer(grid, "nx", "grid", default=RunConfig.grid_nx, minimum=16)
+    ny = _integer(grid, "ny", "grid", default=RunConfig.grid_ny, minimum=16)
 
-    solver = data.get("solver") or {}
-    _require_mapping(solver, "solver")
-    _check_keys(solver, {"rtol"}, "solver")
-    rtol = _number(solver, "rtol", "solver", default=1e-10, positive=True)
+    solver = _section(data, "solver", "solver", {"rtol"})
+    rtol = _number(solver, "rtol", "solver", default=RunConfig.rtol,
+                   positive=True)
 
-    eig = data.get("eigen") or {}
-    _require_mapping(eig, "eigen")
-    _check_keys(eig, {"tol", "max_iter", "seed", "restriction", "band",
-                      "compute_mu", "modes"}, "eigen")
-    restriction = eig.get("restriction", "mean_zero")
-    if restriction not in ("mean_zero", "endpoint_zero", "none"):
-        raise ConfigInvalid(
-            "eigen.restriction must be mean_zero, endpoint_zero or none")
-    compute_mu = eig.get("compute_mu", False)
+    eig = _section(data, "eigen", "eigen", {
+        "tol", "max_iter", "seed", "restriction", "band", "compute_mu", "modes"})
+    restriction = eig.get("restriction", EigenSpec.restriction)
+    if restriction not in RESTRICTIONS:
+        raise ConfigInvalid("eigen.restriction must be %s or %s"
+                            % (", ".join(RESTRICTIONS[:-1]), RESTRICTIONS[-1]))
+    compute_mu = eig.get("compute_mu", EigenSpec.compute_mu)
     if not isinstance(compute_mu, bool):
         raise ConfigInvalid("eigen.compute_mu must be true or false")
-    modes_raw = eig.get("modes", [2, 4, 6])
+    modes_raw = eig.get("modes", list(EigenSpec.modes))
     if (not isinstance(modes_raw, list) or not modes_raw
             or any(isinstance(v, bool) or not isinstance(v, int) for v in modes_raw)):
         raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
     eigen = EigenSpec(
-        tol=_number(eig, "tol", "eigen", default=1e-8, positive=True),
-        max_iter=_integer(eig, "max_iter", "eigen", default=200, minimum=1),
-        seed=_integer(eig, "seed", "eigen", default=None),
+        tol=_number(eig, "tol", "eigen", default=EigenSpec.tol, positive=True),
+        max_iter=_integer(eig, "max_iter", "eigen", default=EigenSpec.max_iter,
+                          minimum=1),
+        seed=_integer(eig, "seed", "eigen", default=EigenSpec.seed),
         restriction=restriction,
-        band=_number(eig, "band", "eigen", default=0.02, positive=True),
+        band=_number(eig, "band", "eigen", default=EigenSpec.band, positive=True),
         compute_mu=compute_mu,
         modes=tuple(modes_raw),
     )
 
-    val = data.get("validate") or {}
-    _require_mapping(val, "validate")
-    _check_keys(val, {"flow", "step", "first_tol", "second_tol",
-                      "criticality_tol"}, "validate")
-    flow_raw = val.get("flow")
-    if flow_raw is None:
-        flow = FlowDirectionSpec()
-    else:
-        _require_mapping(flow_raw, "validate.flow")
-        _check_keys(flow_raw, {"kind", "mode", "amplitude"}, "validate.flow")
-        kind = flow_raw.get("kind", "sin")
-        if kind not in ("sin", "cos", "const"):
-            raise ConfigInvalid("validate.flow.kind must be sin, cos or const")
-        flow = FlowDirectionSpec(
-            kind=kind,
-            mode=_integer(flow_raw, "mode", "validate.flow", default=1, minimum=1),
-            amplitude=_number(flow_raw, "amplitude", "validate.flow", default=1.0),
-        )
-    validate = ValidateSpec(
-        flow=flow,
-        step=_number(val, "step", "validate", default=5e-3, positive=True),
-        first_tol=_number(val, "first_tol", "validate", default=1e-4, positive=True),
-        second_tol=_number(val, "second_tol", "validate", default=0.05, positive=True),
-        criticality_tol=_number(val, "criticality_tol", "validate",
-                                default=0.05, positive=True),
+    val = _section(data, "validate", "validate", {
+        "flow", "step", "first_tol", "second_tol", "criticality_tol"})
+    flow_raw = _section(val, "flow", "validate.flow", {"kind", "mode", "amplitude"})
+    kind = flow_raw.get("kind", FlowDirectionSpec.kind)
+    if kind not in ("sin", "cos", "const"):
+        raise ConfigInvalid("validate.flow.kind must be sin, cos or const")
+    flow = FlowDirectionSpec(
+        kind=kind,
+        mode=_integer(flow_raw, "mode", "validate.flow",
+                      default=FlowDirectionSpec.mode, minimum=1),
+        amplitude=_number(flow_raw, "amplitude", "validate.flow",
+                          default=FlowDirectionSpec.amplitude),
     )
+    validate = ValidateSpec(flow=flow, **{
+        key: _number(val, key, "validate", default=getattr(ValidateSpec, key),
+                     positive=True)
+        for key in ("step", "first_tol", "second_tol", "criticality_tol")})
 
-    out = data.get("output") or {}
-    _require_mapping(out, "output")
-    _check_keys(out, {"path"}, "output")
+    out = _section(data, "output", "output", {"path"})
     out_path = out.get("path")
     if out_path is not None and not isinstance(out_path, str):
         raise ConfigInvalid("output.path must be a string")

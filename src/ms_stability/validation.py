@@ -18,6 +18,9 @@ from . import elliptic, geometry, second_variation
 from .errors import InsufficientSamples
 
 DEFAULT_STEP = 5e-3
+DEFAULT_FIRST_TOL = 1e-4
+DEFAULT_SECOND_TOL = 0.05
+DEFAULT_CRITICALITY_TOL = 0.05
 JUMP_THRESHOLD = 1e-8
 
 
@@ -189,8 +192,10 @@ class ValidationReport:
 
 
 def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
-                              rtol=elliptic.DEFAULT_RTOL, first_tol=1e-4,
-                              second_tol=0.05, criticality_tol=0.05):
+                              rtol=elliptic.DEFAULT_RTOL,
+                              first_tol=DEFAULT_FIRST_TOL,
+                              second_tol=DEFAULT_SECOND_TOL,
+                              criticality_tol=DEFAULT_CRITICALITY_TOL):
     """Cross-validate the assembled d2F[psi] against energy differences.
 
     Flows the curve by psi at times {0, +-step, +-2 step}, re-solves the

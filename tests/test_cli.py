@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from ms_stability.analytic_oracle import lambda1_strip
 from ms_stability.cli import main
 from ms_stability.config import parse_config
 from ms_stability.errors import ConfigInvalid
@@ -285,8 +286,15 @@ def test_missing_config_file(tmp_path, capsys):
      "geometry.boundary.top.cos"),
     ({"geometry": {"kind": "segment", "length": 1.0, "h1": 1.0}},
      "geometry.h2"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": 5, "amplitude": 0.05}}},
+     "geometry.curve.heights"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": {"x": 1}, "mode": 2}}},
+     "geometry.curve.heights"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
-        "heights-length", "overtone-mode", "missing-h2"])
+        "heights-length", "overtone-mode", "missing-h2",
+        "heights-number-with-sine-keys", "heights-object-with-sine-keys"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=needle.replace(".", r"\.")):
         parse_config(data)
@@ -338,3 +346,80 @@ def test_zero_data_gives_empty_operator(tmp_path, capsys):
     notes = " ".join(report["notes"])
     assert "operator is zero" in notes and "empty constraint" in notes
     assert "jump degenerates" in notes
+
+
+# wall slopes (s+, s-) with the mean squared slope by which they scale T
+SLOPED_WALLS = [
+    ({"top": {"slope": 0.5, "constant": 1.0}, "bottom": {"slope": -0.5}}, 0.25),
+    ({"top": {"slope": 2.0, "constant": 1.0}, "bottom": {"slope": 0.0}}, 2.0),
+]
+
+
+@pytest.mark.parametrize("boundary,scale", SLOPED_WALLS,
+                         ids=["slopes-half", "slopes-2-0"])
+def test_analyze_closed_form_follows_the_wall_slopes(tmp_path, capsys,
+                                                     boundary, scale):
+    cfg = write_config(tmp_path, "walls.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0, "boundary": boundary},
+        "grid": {"nx": 32, "ny": 32}})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert code in (0, 3)   # slopes (2, 0) make the pair unstable
+    ref = report["results"]["lambda1_analytic_flat"]["value"]
+    assert ref == pytest.approx(scale * lambda1_strip(1.0, 1.0), rel=1e-15)
+    lam = report["results"]["lambda1"]["value"]
+    assert lam == pytest.approx(ref, rel=0.02)
+
+
+@pytest.mark.parametrize("boundary,scale", SLOPED_WALLS,
+                         ids=["slopes-half", "slopes-2-0"])
+def test_phase_diagram_closed_form_follows_the_wall_slopes(tmp_path, capsys,
+                                                           boundary, scale):
+    cfg = write_config(tmp_path, "walls.json", {
+        "geometry": {"kind": "strip", "a_values": [1.0], "b_values": [1.0, 2.0],
+                     "boundary": boundary},
+        "grid": {"nx": 32, "ny": 32}})
+    assert main(["phase-diagram", "--config", cfg]) == 0
+    rows = [line.split(",")
+            for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [float(row[1]) for row in rows] == [1.0, 2.0]
+    for row in rows:
+        ref = float(row[3])
+        assert ref == pytest.approx(scale * lambda1_strip(1.0, float(row[1])),
+                                    rel=1e-8)
+        assert float(row[2]) == pytest.approx(ref, rel=0.02)
+
+
+def test_overtone_walls_have_no_closed_form(tmp_path, capsys):
+    geometry = {"kind": "strip", "a": 1.0, "b": 1.0, "a_values": [1.0],
+                "b_values": [1.0],
+                "boundary": {"top": {"slope": 1.0, "constant": 1.0,
+                                     "sin": [[1, 0.1]]}}}
+    cfg = write_config(tmp_path, "overtone.json", {
+        "geometry": geometry, "grid": {"nx": 32, "ny": 32}})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert code == 0
+    assert "lambda1_analytic_flat" not in report["results"]
+    assert main(["phase-diagram", "--config", cfg]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[3] == "nan"
+    assert math.isfinite(float(row[2]))
+
+
+def test_compare_ignores_the_configured_walls(tmp_path, capsys):
+    # compare probes the canonical wall pair whatever geometry.boundary says
+    reports = []
+    for name, boundary in (("plain", None),
+                           ("walls", {"top": {"slope": 0.5, "constant": 3.0,
+                                              "cos": [[1, 0.2]]},
+                                      "bottom": {"slope": -2.0}})):
+        geometry = {"kind": "strip", "a": 1.0, "b": 1.0}
+        if boundary is not None:
+            geometry["boundary"] = boundary
+        cfg = write_config(tmp_path, name + ".json", {
+            "geometry": geometry, "grid": {"nx": 32, "ny": 32},
+            "eigen": {"modes": [2]}})
+        out_path = tmp_path / (name + "-compare.json")
+        assert main(["compare", "--config", cfg, "--out", str(out_path)]) == 0
+        reports.append(out_path.read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]

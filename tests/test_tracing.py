@@ -2,12 +2,15 @@
 
 perfbench/spans.py patches named attributes of the library; a renamed
 function would break the traced benchmark run, so the wrapping is
-exercised here on one small analyze call.
+exercised here on one small analyze call and one two-point
+phase-diagram, whose per-point spans give the cli.point_s metrics.
 """
 
 import importlib.util
 import json
 import os
+
+import pytest
 
 from ms_stability import cli, second_variation
 
@@ -41,3 +44,31 @@ def test_tracer_records_eigen_spans(tmp_path, capsys):
     names = {s["name"] for s in tracer.spans}
     assert {"second_variation.lambda1", "second_variation.mu"} <= names
     assert second_variation.lambda1 is original
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_tracer_records_one_span_per_lattice_point(tmp_path, capsys, jobs):
+    spans = load_spans()
+    cfg = tmp_path / "lattice.json"
+    cfg.write_text(json.dumps({
+        "geometry": {"kind": "strip", "a_values": [1.0],
+                     "b_values": [1.0, 2.0]},
+        "grid": {"nx": 32, "ny": 32}}))
+    tracer = spans.Tracer("test")
+    spans.install(tracer)
+    try:
+        # the root span parents the spans of the --jobs pool threads
+        with tracer.span("cli.main"):
+            code = cli.main(["phase-diagram", "--config", str(cfg),
+                             "--jobs", jobs])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    points = [s for s in tracer.spans if s["name"] == "cli._phase_point"]
+    assert len(points) == 2
+    for point in points:
+        eigen = [s for s in tracer.spans
+                 if s["name"] == "second_variation.lambda1"
+                 and s["parent"] == point["id"]]
+        assert len(eigen) == 1
