@@ -15,7 +15,6 @@ from .errors import (
     GramSingular,
     InsufficientSamples,
     InvalidRestriction,
-    NoConvergence,
     OddMode,
     SolverDiverged,
     StabilityError,
@@ -67,7 +66,6 @@ from .validation import (
     criticality_residuals,
     energy_along_flow,
     fd_derivatives,
-    segment_criticality,
     total_energy,
     validate_second_variation,
 )

@@ -9,8 +9,9 @@ cos(n pi x / b) (n even, by periodicity) has eigenvalue
 so the leading eigenvalue is lambda_1 = (2 b / pi) * tanh(2 pi a / b)
 and the flat pair is strictly stable exactly when that value is below
 one.  The matching bulk fields are sin * sinh separated modes, also
-provided here for solver cross-checks, together with a dense
-generalized eigensolve for the straight-segment quadratic form.
+provided here for solver cross-checks (state_probe_error and
+jump_probe_error measure both solvers against them), together with a
+dense generalized eigensolve for the straight-segment quadratic form.
 """
 
 import math
@@ -90,6 +91,43 @@ def mode_trace_slope(n, amplitude, a, b):
     _check_strip(a, b)
     k = n * math.pi / b
     return -amplitude * k * math.cosh(k * a)
+
+
+def state_probe_error(domain, n):
+    """Max nodal errors (upper, lower) of the state solve on an n x n grid.
+
+    Keeps domain's a and b but sets the walls to cos(kx) above and 0
+    below, k = 2 pi / b; with the flat cut the exact state is
+    cos(kx) cosh(ky) / cosh(ka) above and 0 below.
+    """
+    a, b = domain.half_height, domain.period
+    k = 2.0 * math.pi / b
+    wall = geometry.BoundaryData(0.0, lambda x: np.cos(k * x))
+    probe = geometry.StripDomain(a, b, wall, geometry.BoundaryData(0.0))
+    curve = geometry.flat_curve(b, n)
+    state, _ = elliptic.solve_state(probe, curve, elliptic.Grid(n, n))
+    y = a * np.arange(n + 1) / n
+    exact = np.cos(k * curve.abscissae)[None, :] * np.cosh(k * y)[:, None] \
+        / math.cosh(k * a)
+    return np.max(np.abs(state.w_upper - exact)), np.max(np.abs(state.w_lower))
+
+
+def jump_probe_error(domain, n):
+    """Max nodal errors (upper, lower) of the transport solve on an n x n grid.
+
+    domain must carry the canonical walls (x + 1 above, -x below); with
+    the flat cut, phi = cos(2 pi x / b) then drives strip_mode_field(2)
+    of amplitude 1 / cosh(2 pi a / b).
+    """
+    a, b = domain.half_height, domain.period
+    curve = geometry.flat_curve(b, n)
+    grid = elliptic.Grid(n, n)
+    state, _ = elliptic.solve_state(domain, curve, grid)
+    phi = np.cos(2.0 * math.pi * curve.abscissae / b)
+    field, _ = elliptic.solve_jump_source(state, phi)
+    ref = strip_mode_field(2, 1.0 / math.cosh(2.0 * math.pi * a / b), domain, grid)
+    return (np.max(np.abs(field.w_upper - ref.w_upper)),
+            np.max(np.abs(field.w_lower - ref.w_lower)))
 
 
 def segment_min_eig(config, m=200):

@@ -108,16 +108,21 @@ def _strip_operator(cfg, domain, curve):
                                                           rtol=cfg.rtol)
 
 
-def _flat_closed_form(geom, a, b):
-    """Flat-curve lambda_1 for geom's walls; nan if a wall has overtones.
+def _wall_scale(geom):
+    """Factor by which geom's walls scale T on a flat curve; nan with overtones.
 
     Linear walls s+ x + c+ and s- x + c- scale T by (s+^2 + s-^2) / 2,
-    which is exactly 1 on the canonical pair.
+    which is exactly 1 on the canonical pair.  Walls with cos/sin
+    overtones have no closed form.
     """
     if geom.top.cos or geom.top.sin or geom.bottom.cos or geom.bottom.sin:
         return math.nan
-    scale = (geom.top.slope ** 2 + geom.bottom.slope ** 2) / 2.0
-    return scale * analytic_oracle.lambda1_strip(a, b)
+    return (geom.top.slope ** 2 + geom.bottom.slope ** 2) / 2.0
+
+
+def _flat_closed_form(geom, a, b):
+    """Flat-curve lambda_1 for geom's walls; nan if a wall has overtones."""
+    return _wall_scale(geom) * analytic_oracle.lambda1_strip(a, b)
 
 
 # ----------------------------------------------------------------- analyze
@@ -323,38 +328,6 @@ def _run_validate(cfg, seed):
 
 # ----------------------------------------------------------------- compare
 
-def _state_probe_error(n_grid, a, b):
-    """Max nodal error against the cosh-profile wall-datum solution."""
-    k = 2.0 * math.pi / b
-    domain = geometry.StripDomain(
-        a, b,
-        geometry.BoundaryData(0.0, lambda x: np.cos(k * x)),
-        geometry.BoundaryData(0.0),
-    )
-    curve = geometry.flat_curve(b, n_grid)
-    grid = elliptic.Grid(n_grid, n_grid)
-    state, _ = elliptic.solve_state(domain, curve, grid)
-    x = curve.abscissae
-    y = a * np.arange(grid.ny + 1) / grid.ny
-    exact = np.cos(k * x)[None, :] * np.cosh(k * y)[:, None] / math.cosh(k * a)
-    return max(np.max(np.abs(state.w_upper - exact)),
-               np.max(np.abs(state.w_lower)))
-
-
-def _jump_probe_error(n_grid, a, b):
-    """Max nodal error of the transport solve against the sinh-mode field."""
-    domain = GeometrySpec("strip").strip_domain(a, b)
-    curve = geometry.flat_curve(b, n_grid)
-    grid = elliptic.Grid(n_grid, n_grid)
-    state, _ = elliptic.solve_state(domain, curve, grid)
-    phi = np.cos(2.0 * math.pi * curve.abscissae / b)
-    field, _ = elliptic.solve_jump_source(state, phi)
-    amp = 1.0 / math.cosh(2.0 * math.pi * a / b)
-    ref = analytic_oracle.strip_mode_field(2, amp, domain, grid)
-    return max(np.max(np.abs(field.w_upper - ref.w_upper)),
-               np.max(np.abs(field.w_lower - ref.w_lower)))
-
-
 def _run_compare(cfg, seed):
     _require_strip(cfg, "compare")
     geom = cfg.geometry
@@ -364,9 +337,9 @@ def _run_compare(cfg, seed):
         raise ConfigInvalid("compare needs geometry.a and geometry.b")
 
     # the probes use the canonical wall pair whatever geometry.boundary says
+    domain = GeometrySpec("strip").strip_domain(a, b)
     curve = geometry.flat_curve(b, cfg.grid_nx)
-    _, _, op = _strip_operator(cfg, GeometrySpec("strip").strip_domain(a, b),
-                               curve)
+    _, _, op = _strip_operator(cfg, domain, curve)
 
     x = curve.abscissae
     mode_rows = []
@@ -379,10 +352,10 @@ def _run_compare(cfg, seed):
     n_fine = cfg.grid_nx
     n_coarse = max(16, n_fine // 2)
     field_rows = []
-    for label, probe in (("state", _state_probe_error),
-                         ("jump", _jump_probe_error)):
-        err_c = probe(n_coarse, a, b)
-        err_f = probe(n_fine, a, b)
+    for label, probe in (("state", analytic_oracle.state_probe_error),
+                         ("jump", analytic_oracle.jump_probe_error)):
+        err_c = max(probe(domain, n_coarse))
+        err_f = max(probe(domain, n_fine))
         order = math.log2(err_c / err_f) / math.log2(n_fine / n_coarse)
         field_rows.append((label, err_c, err_f, order))
 
@@ -444,7 +417,11 @@ def _run_oracle(cfg):
     b = geom.b
     if a is None or b is None:
         raise ConfigInvalid("oracle needs geometry.a and geometry.b")
-    lam = analytic_oracle.lambda1_strip(a, b)
+    scale = _wall_scale(geom)
+    if math.isnan(scale):
+        raise ConfigInvalid("oracle has no closed form for geometry.boundary "
+                            "walls with cos/sin overtones")
+    lam = scale * analytic_oracle.lambda1_strip(a, b)
     verdict = second_variation.verdict_from_eigenvalue(lam, band=cfg.eigen.band)
     report = {
         "command": "oracle",
@@ -457,7 +434,8 @@ def _run_oracle(cfg):
             "lambda1": _num(lam, "analytic"),
             "margin": _num(1.0 - lam, "analytic"),
             "modes": {
-                str(n): _num(analytic_oracle.mode_lambda(n, a, b), "analytic")
+                str(n): _num(scale * analytic_oracle.mode_lambda(n, a, b),
+                             "analytic")
                 for n in cfg.eigen.modes
             },
         },

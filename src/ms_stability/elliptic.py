@@ -158,7 +158,6 @@ class _Component:
         self.grad_x = grad_x
         self.grad_y = grad_y
         self.wdet = wdet
-        self.area = float(wdet.sum())
         self.a_uu = a_full[:n_u, :n_u].tocsr()
         self.a_ud = a_full[:n_u, n_u:].tocsr()
         self.drift_load = bx[:n_u]
@@ -203,8 +202,10 @@ class _Component:
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
         maxiter = MAXITER_FACTOR * self.nx * self.ny
+        # An explicit dtype keeps scipy from probing the preconditioner
+        # with a zero vector to infer it.
         precond = scipy.sparse.linalg.LinearOperator(
-            self.a_uu.shape, matvec=self._flat_inverse
+            self.a_uu.shape, matvec=self._flat_inverse, dtype=float
         )
         count = [0]
 
@@ -343,18 +344,24 @@ class SlitField:
         return w[:-1].ravel()
 
     def _pick(self, side):
-        if side in ("upper", "+", "plus"):
+        if side == "upper":
             return self.slope_upper, self.w_upper
-        if side in ("lower", "-", "minus"):
+        if side == "lower":
             return self.slope_lower, self.w_lower
         raise ValueError("side must be 'upper' or 'lower'")
 
 
-def _stack_rows(component, unknowns, wall_values):
-    w = np.empty((component.ny + 1, component.nx))
-    w[:-1] = unknowns.reshape(component.ny, component.nx)
-    w[-1] = wall_values
-    return w
+def _solve_sides(system, problems, slopes, rtol):
+    """CG on each side for its (rhs, wall row), upper first.
+
+    Returns (SlitField with the given drift slopes, SolveStats).
+    """
+    rows, parts = [], []
+    for comp, (rhs, wall) in zip((system.upper, system.lower), problems):
+        u, stats = comp.solve(rhs, rtol)
+        rows.append(np.vstack([u.reshape(comp.ny, comp.nx), wall]))
+        parts.append(stats)
+    return SlitField(system, *slopes, *rows), SolveStats.combine(rtol, parts)
 
 
 def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL, system=None):
@@ -368,22 +375,12 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL, system=None):
     if system is None:
         system = StripSystem(domain, curve, grid)
     x = system.abscissae
-    parts = []
-    fields = {}
+    problems = []
     for comp, data in ((system.upper, domain.top), (system.lower, domain.bottom)):
         wall = data.sample(x)
-        rhs = -data.slope * comp.drift_load - comp.a_ud @ wall
-        u, stats = comp.solve(rhs, rtol)
-        parts.append(stats)
-        fields[comp.side] = _stack_rows(comp, u, wall)
-    field = SlitField(
-        system=system,
-        slope_upper=domain.top.slope,
-        slope_lower=domain.bottom.slope,
-        w_upper=fields["upper"],
-        w_lower=fields["lower"],
-    )
-    return field, SolveStats.combine(rtol, parts)
+        problems.append((-data.slope * comp.drift_load - comp.a_ud @ wall, wall))
+    return _solve_sides(system, problems,
+                        (domain.top.slope, domain.bottom.slope), rtol)
 
 
 class JumpCoupling:
@@ -447,23 +444,12 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (system.grid.nx,):
         raise ValueError("phi must have one sample per curve node")
-    load_upper, load_lower = coupling.loads(phi)
-    parts = []
-    fields = {}
-    for comp, load in ((system.upper, load_upper), (system.lower, load_lower)):
+    problems = []
+    for comp, load in zip((system.upper, system.lower), coupling.loads(phi)):
         rhs = np.zeros(comp.n_unknown)
         rhs[: comp.nx] = load
-        u, stats = comp.solve(rhs, rtol)
-        parts.append(stats)
-        fields[comp.side] = _stack_rows(comp, u, np.zeros(comp.nx))
-    field = SlitField(
-        system=system,
-        slope_upper=0.0,
-        slope_lower=0.0,
-        w_upper=fields["upper"],
-        w_lower=fields["lower"],
-    )
-    return field, SolveStats.combine(rtol, parts)
+        problems.append((rhs, np.zeros(comp.nx)))
+    return _solve_sides(system, problems, (0.0, 0.0), rtol)
 
 
 def dirichlet_energy(field, region="whole"):

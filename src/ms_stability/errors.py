@@ -26,17 +26,6 @@ class GramSingular(StabilityError):
     """The restricted scalar-product matrix is not positive definite."""
 
 
-class NoConvergence(StabilityError):
-    """An eigenvalue iteration did not meet its tolerance in time.
-
-    Carries the last iterate so callers can inspect how close it got.
-    """
-
-    def __init__(self, message, last_value=None):
-        super().__init__(message)
-        self.last_value = last_value
-
-
 class DegeneratePencil(StabilityError):
     """The dual eigenvalue problem has a degenerate operator pencil."""
 

@@ -184,15 +184,6 @@ def assemble_tilde_gram(config, restriction=None, m=None):
     raise TypeError("config must be a GraphCurve or a SegmentConfig")
 
 
-@dataclass(frozen=True)
-class ApplyInfo:
-    """By-products of one operator application."""
-
-    dual: np.ndarray          # r with (T phi, psi)~ = r . psi
-    field: elliptic.SlitField
-    stats: elliptic.SolveStats
-
-
 class TOperator:
     """Nonlocal operator T of the second variation.
 
@@ -216,13 +207,15 @@ class TOperator:
         self._spectrum = None
 
     def apply(self, phi):
-        """Return (T phi, ApplyInfo); phi is projected into the subspace."""
+        """Return (T phi, r) with r the dual vector, (T phi, psi)~ = r . psi.
+
+        phi is projected into the subspace first.
+        """
         phi = self.gram.project(np.asarray(phi, dtype=float))
-        vfield, stats = elliptic.solve_jump_source(
+        vfield, _ = elliptic.solve_jump_source(
             self.state, phi, rtol=self.rtol, coupling=self.coupling)
         dual = self.coupling.dual_vector(vfield)
-        t_phi = self.gram.apply_inverse(dual)
-        return t_phi, ApplyInfo(dual=dual, field=vfield, stats=stats)
+        return self.gram.apply_inverse(dual), dual
 
     @property
     def dual_matrix(self):
@@ -287,13 +280,12 @@ class EigenStats:
 class SecondVariationResult:
     """d2F[phi] evaluated by the direct route, with the dual cross-check.
 
-    direct = -2 * bulk energy of v_phi + ||phi||~^2
-    dual   = ||phi||~^2 - (T phi, phi)~
-    The two agree up to linear-solver tolerance; value carries direct.
+    value = -2 * bulk energy of v_phi + ||phi||~^2   (direct route)
+    dual  = ||phi||~^2 - (T phi, phi)~
+    The two agree up to linear-solver tolerance.
     """
 
     value: float
-    direct: float
     dual: float
     mismatch: float
     stats: elliptic.SolveStats
@@ -310,8 +302,8 @@ def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
     direct = -2.0 * elliptic.dirichlet_energy(vfield) + norm_sq
     dual = norm_sq - t_form
     mismatch = abs(direct - dual) / max(1.0, abs(direct))
-    return SecondVariationResult(value=direct, direct=direct, dual=dual,
-                                 mismatch=mismatch, stats=stats)
+    return SecondVariationResult(value=direct, dual=dual, mismatch=mismatch,
+                                 stats=stats)
 
 
 def _dense_stats(note):

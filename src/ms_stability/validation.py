@@ -9,7 +9,6 @@ check the package has: it exercises geometry, both solvers, and the
 Gram assembly in one number.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +27,11 @@ JUMP_THRESHOLD = 1e-8
 class CriticalityReport:
     """Discrete transmission-condition residuals of a solved state."""
 
-    kind: str
     sup_residual: float
     residuals: np.ndarray
     min_jump: float
     argmin_jump: float
     jump_ok: bool
-    jump_threshold: float
-    orthogonality_defect: float = 0.0
 
 
 def criticality_residuals(state, jump_threshold=JUMP_THRESHOLD):
@@ -54,32 +50,11 @@ def criticality_residuals(state, jump_threshold=JUMP_THRESHOLD):
     worst = int(np.argmin(jump))
     min_jump = float(jump[worst])
     return CriticalityReport(
-        kind="strip",
         sup_residual=float(np.max(np.abs(residuals))),
         residuals=residuals,
         min_jump=min_jump,
         argmin_jump=float(state.system.abscissae[worst]),
         jump_ok=min_jump > jump_threshold,
-        jump_threshold=jump_threshold,
-    )
-
-
-def segment_criticality(config):
-    """Criticality report for the straight segment critical pair.
-
-    The segment configuration is critical by construction (the field is
-    locally constant, the segment is straight, and it meets the box
-    boundary orthogonally), so all residuals vanish identically.
-    """
-    return CriticalityReport(
-        kind="segment",
-        sup_residual=0.0,
-        residuals=np.zeros(2),
-        min_jump=math.inf,
-        argmin_jump=0.0,
-        jump_ok=True,
-        jump_threshold=0.0,
-        orthogonality_defect=0.0,
     )
 
 
@@ -182,8 +157,6 @@ class ValidationReport:
     first_ok: bool
     second_ok: bool
     mismatch: float
-    first_tolerance: float
-    second_tolerance: float
     non_critical: bool
 
     @property
@@ -231,7 +204,5 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
         first_ok=abs(fd.first) <= first_tol * max(1.0, abs(base)),
         second_ok=mismatch <= second_tol,
         mismatch=mismatch,
-        first_tolerance=first_tol,
-        second_tolerance=second_tol,
         non_critical=crit.sup_residual > criticality_tol,
     )

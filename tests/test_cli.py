@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ms_stability.analytic_oracle import lambda1_strip
+from ms_stability.analytic_oracle import lambda1_strip, mode_lambda
 from ms_stability.cli import main
 from ms_stability.config import parse_config
 from ms_stability.errors import ConfigInvalid
@@ -387,6 +387,36 @@ def test_phase_diagram_closed_form_follows_the_wall_slopes(tmp_path, capsys,
         assert ref == pytest.approx(scale * lambda1_strip(1.0, float(row[1])),
                                     rel=1e-8)
         assert float(row[2]) == pytest.approx(ref, rel=0.02)
+
+
+@pytest.mark.parametrize("boundary,scale", SLOPED_WALLS,
+                         ids=["slopes-half", "slopes-2-0"])
+def test_oracle_follows_the_wall_slopes(tmp_path, capsys, boundary, scale):
+    cfg = write_config(tmp_path, "walls.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0, "boundary": boundary},
+        "grid": {"nx": 32, "ny": 32}})
+    code, report = run_json(capsys, ["oracle", "--config", cfg])
+    results = report["results"]
+    assert results["lambda1"]["value"] == pytest.approx(
+        scale * lambda1_strip(1.0, 1.0), rel=1e-15)
+    for n in (2, 4, 6):
+        assert results["modes"][str(n)]["value"] == pytest.approx(
+            scale * mode_lambda(n, 1.0, 1.0), rel=1e-15)
+    # the closed-form verdict is the one the solver reaches
+    analyze_code, analyze = run_json(capsys, ["analyze", "--config", cfg])
+    assert (code, report["verdict"]) == (analyze_code, analyze["verdict"])
+
+
+def test_oracle_refuses_overtone_walls(tmp_path, capsys):
+    cfg = write_config(tmp_path, "overtone.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                     "boundary": {"bottom": {"slope": -1.0,
+                                             "cos": [[2, 0.1]]}}}})
+    assert main(["oracle", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigInvalid" in captured.err
+    assert "geometry.boundary" in captured.err
 
 
 def test_overtone_walls_have_no_closed_form(tmp_path, capsys):

@@ -6,7 +6,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 import ms_stability as ms
-from ms_stability import elliptic
+from ms_stability import analytic_oracle, elliptic
 from ms_stability.errors import CurveEscapesStrip
 
 from conftest import drift_domain, flat_setup
@@ -69,31 +69,10 @@ def test_components_decouple():
     assert np.max(np.abs(state_a.w_lower - state_b.w_lower)) > 0.1
 
 
-def state_mode_error(n_grid, a=1.0, b=1.0):
-    """Max nodal error against the separated cosh-profile reference.
-
-    Wall datum cos(2 pi x / b) on top, zero below, flat cut: the upper
-    solution is cos(kx) cosh(ky) / cosh(ka) (zero normal derivative on
-    the cut), the lower solution vanishes.
-    """
-    k = 2.0 * math.pi / b
-    domain = ms.StripDomain(
-        a, b, ms.BoundaryData(0.0, lambda x: np.cos(k * x)), ms.BoundaryData(0.0))
-    curve = ms.flat_curve(b, n_grid)
-    grid = ms.Grid(n_grid, n_grid)
-    state, _ = ms.solve_state(domain, curve, grid)
-    x = curve.abscissae
-    y = a * np.arange(grid.ny + 1) / grid.ny
-    exact = np.cos(k * x)[None, :] * np.cosh(k * y)[:, None] / math.cosh(k * a)
-    err_up = np.max(np.abs(state.w_upper - exact))
-    err_low = np.max(np.abs(state.w_lower))
-    return err_up, err_low
-
-
 def test_state_solver_converges_at_second_order():
     errs = []
     for n in (32, 64, 128):
-        err_up, err_low = state_mode_error(n)
+        err_up, err_low = analytic_oracle.state_probe_error(drift_domain(), n)
         errs.append(err_up)
         assert err_low < 1e-9
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
@@ -101,24 +80,9 @@ def test_state_solver_converges_at_second_order():
     assert errs[-1] < 2e-4
 
 
-def jump_mode_error(n_grid, a=1.0, b=1.0):
-    """Max nodal error of the transport solve against the sinh-mode field."""
-    domain = drift_domain(a, b)
-    curve = ms.flat_curve(b, n_grid)
-    grid = ms.Grid(n_grid, n_grid)
-    state, _ = ms.solve_state(domain, curve, grid)
-    phi = np.cos(2.0 * math.pi * curve.abscissae / b)
-    field, _ = ms.solve_jump_source(state, phi)
-    amp = 1.0 / math.cosh(2.0 * math.pi * a / b)
-    ref = ms.strip_mode_field(2, amp, domain, grid)
-    return max(
-        np.max(np.abs(field.w_upper - ref.w_upper)),
-        np.max(np.abs(field.w_lower - ref.w_lower)),
-    )
-
-
 def test_jump_solver_converges_at_second_order():
-    errs = [jump_mode_error(n) for n in (32, 64, 128)]
+    errs = [max(analytic_oracle.jump_probe_error(drift_domain(), n))
+            for n in (32, 64, 128)]
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) >= 1.8
     assert errs[-1] < 1e-3
@@ -239,6 +203,24 @@ def test_iteration_count_does_not_grow_with_the_grid():
         counts[n] = side_iterations(stats)
     for coarse, fine in zip(counts[32], counts[128]):
         assert fine <= coarse + 5
+
+
+@pytest.mark.parametrize("amplitude", (0.0, 0.05))
+def test_preconditioner_runs_once_per_iteration(monkeypatch, amplitude):
+    # Without a dtype, scipy's LinearOperator applies the preconditioner
+    # to a zero vector to infer it: one wasted application per side.
+    calls = [0]
+    flat_inverse = elliptic._Component._flat_inverse
+
+    def counted(self, r):
+        calls[0] += 1
+        return flat_inverse(self, r)
+
+    monkeypatch.setattr(elliptic._Component, "_flat_inverse", counted)
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=amplitude)
+    _, stats = ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32))
+    assert stats.iterations > 0
+    assert calls[0] == sum(side_iterations(stats))
 
 
 @st.composite

@@ -106,13 +106,13 @@ def test_operator_symmetric_and_positive(a, b, amplitude):
     for _ in range(6):
         phi = gram.project(rng.standard_normal(32))
         chi = gram.project(rng.standard_normal(32))
-        t_phi, info_phi = op.apply(phi)
-        _, info_chi = op.apply(chi)
-        left = float(chi @ info_phi.dual)    # (T phi, chi)~
-        right = float(phi @ info_chi.dual)   # (T chi, phi)~
+        _, dual_phi = op.apply(phi)
+        _, dual_chi = op.apply(chi)
+        left = float(chi @ dual_phi)    # (T phi, chi)~
+        right = float(phi @ dual_chi)   # (T chi, phi)~
         scale = gram.norm(phi) * gram.norm(chi)
         assert abs(left - right) <= 1e-8 * scale
-        assert float(phi @ info_phi.dual) >= -1e-10 * gram.form(phi)
+        assert float(phi @ dual_phi) >= -1e-10 * gram.form(phi)
 
 
 def test_operator_preserves_fourier_modes():
@@ -216,9 +216,9 @@ def test_dual_matrix_matches_transport_solves_on_curved_mesh(
     rng = np.random.default_rng(n)
     for _ in range(5):
         phi = rng.standard_normal(n)
-        _, info = op.apply(phi)
+        _, dual = op.apply(phi)
         dense = mat @ gram.project(phi)
-        assert np.linalg.norm(dense - info.dual) <= 1e-8 * np.linalg.norm(info.dual)
+        assert np.linalg.norm(dense - dual) <= 1e-8 * np.linalg.norm(dual)
     scale = np.max(np.abs(mat))
     assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
     assert np.linalg.eigvalsh(mat).min() >= -1e-12 * scale

@@ -2,8 +2,9 @@
 
 perfbench/spans.py patches named attributes of the library; a renamed
 function would break the traced benchmark run, so the wrapping is
-exercised here on one small analyze call and one two-point
-phase-diagram, whose per-point spans give the cli.point_s metrics.
+exercised here on one small analyze call, one two-point phase-diagram,
+whose per-point spans give the cli.point_s metrics, and one validate,
+whose solve spans give the state and transport metrics.
 """
 
 import importlib.util
@@ -72,3 +73,30 @@ def test_tracer_records_one_span_per_lattice_point(tmp_path, capsys, jobs):
                  if s["name"] == "second_variation.lambda1"
                  and s["parent"] == point["id"]]
         assert len(eigen) == 1
+
+
+def test_tracer_records_the_validate_solves(tmp_path, capsys):
+    spans = load_spans()
+    cfg = tmp_path / "validate.json"
+    cfg.write_text(json.dumps({
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+        "grid": {"nx": 32, "ny": 32}}))
+    tracer = spans.Tracer("test")
+    spans.install(tracer)
+    try:
+        code = cli.main(["validate", "--config", str(cfg)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    names = [s["name"] for s in tracer.spans]
+    # the base curve and four flowed curves, two sides each, plus the
+    # two sides of the one transport solve
+    assert names.count("elliptic.StripSystem") == 5
+    assert names.count("elliptic.solve_state") == 5
+    assert names.count("elliptic._Component.solve") == 12
+    by_id = {s["id"]: s for s in tracer.spans}
+    jump = [s for s in tracer.spans if s["name"] == "elliptic.solve_jump_source"]
+    assert len(jump) == 1
+    assert by_id[jump[0]["parent"]]["name"] == \
+        "second_variation.second_variation_value"

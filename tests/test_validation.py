@@ -87,13 +87,6 @@ def test_bent_curve_breaks_criticality():
     assert report.jump_ok
 
 
-def test_segment_report_is_trivially_critical():
-    report = ms.segment_criticality(ms.SegmentConfig(1.0, -1.0, -1.0))
-    assert report.sup_residual == 0.0
-    assert report.orthogonality_defect == 0.0
-    assert report.jump_ok
-
-
 # ------------------------------------------------- energy along flows
 
 def test_translation_flow_keeps_energy_constant():
