@@ -17,7 +17,6 @@ tag: "numeric" (assembled/iterated), "analytic" (closed form) or "fd"
 import argparse
 import json
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
@@ -39,7 +38,6 @@ VERDICT_EXIT = {
     "marginal": EXIT_MARGINAL,
 }
 CSV_HEADER = "a,b,lambda1_numeric,lambda1_analytic,verdict,grid_nx,grid_ny,residual"
-SEED_ENV = "MS_STABILITY_SEED"
 
 
 def _fmt(value):
@@ -57,18 +55,6 @@ def _num(value, provenance):
     return {"value": value, "provenance": provenance}
 
 
-def _resolve_seed(cfg):
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigInvalid("%s must be an integer, got %r" % (SEED_ENV, env))
-    if cfg.eigen.seed is not None:
-        return cfg.eigen.seed
-    return second_variation.DEFAULT_SEED
-
-
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w") as handle:
@@ -84,18 +70,6 @@ def _json_text(report):
 def _require_strip(cfg, command):
     if cfg.geometry.kind != "strip":
         raise ConfigInvalid("%s requires geometry.kind = strip" % command)
-
-
-def _eigen_stats_dict(stats):
-    if stats is None:
-        return None
-    return {
-        "iterations": stats.iterations,
-        "converged": stats.converged,
-        "last_change": _num(stats.change, "numeric"),
-        "cg_iterations": stats.cg_iterations,
-        "note": stats.note,
-    }
 
 
 def _strip_operator(cfg, domain, curve):
@@ -127,7 +101,7 @@ def _flat_closed_form(geom, a, b):
 
 # ----------------------------------------------------------------- analyze
 
-def _analyze_strip(cfg, seed):
+def _analyze_strip(cfg):
     geom = cfg.geometry
     domain = geom.strip_domain()
     curve = geom.curve.build(domain.period, cfg.grid_nx)
@@ -178,13 +152,15 @@ def _analyze_strip(cfg, seed):
             "restriction": cfg.eigen.restriction,
             "band": cfg.eigen.band,
             "rtol": cfg.rtol,
-            "eigen_tol": cfg.eigen.tol,
-            "seed": seed,
         },
         "results": results,
         "stats": {
-            "lambda1": _eigen_stats_dict(lam_stats),
-            "mu": _eigen_stats_dict(mu_stats),
+            "eigen": {
+                "method": "dense_eigh",
+                "size": op.gram.basis.shape[1],
+                "leading": [_num(v, "numeric") for v in
+                            second_variation.leading_eigenvalues(op, 3)],
+            },
             "state_cg_iterations": solve_stats.iterations,
             "state_cg_residual": _num(solve_stats.residual, "numeric"),
         },
@@ -214,9 +190,8 @@ def _segment_report(cfg, command):
     return report, VERDICT_EXIT[verdict]
 
 
-def _analyze_segment(cfg, seed):
+def _analyze_segment(cfg):
     report, code = _segment_report(cfg, "analyze")
-    report["config"]["seed"] = seed
     report["results"]["lambda1"] = _num(0.0, "analytic")
     report["results"]["mu"] = _num(math.inf, "analytic")
     report["notes"] = ["empty constraint: the nonlocal operator vanishes on a "
@@ -224,10 +199,10 @@ def _analyze_segment(cfg, seed):
     return report, code
 
 
-def _run_analyze(cfg, seed):
+def _run_analyze(cfg):
     if cfg.geometry.kind == "segment":
-        return _analyze_segment(cfg, seed)
-    return _analyze_strip(cfg, seed)
+        return _analyze_segment(cfg)
+    return _analyze_strip(cfg)
 
 
 # ----------------------------------------------------------- phase-diagram
@@ -271,7 +246,7 @@ def _run_phase_diagram(cfg, jobs):
 
 # ---------------------------------------------------------------- validate
 
-def _run_validate(cfg, seed):
+def _run_validate(cfg):
     _require_strip(cfg, "validate")
     geom = cfg.geometry
     domain = geom.strip_domain()
@@ -299,7 +274,6 @@ def _run_validate(cfg, seed):
             "step": cfg.validate.step,
             "first_tol": cfg.validate.first_tol,
             "second_tol": cfg.validate.second_tol,
-            "seed": seed,
         },
         "criticality": {
             "sup_residual": _num(rep.criticality.sup_residual, "numeric"),
@@ -328,13 +302,18 @@ def _run_validate(cfg, seed):
 
 # ----------------------------------------------------------------- compare
 
-def _run_compare(cfg, seed):
+def _run_compare(cfg):
     _require_strip(cfg, "compare")
     geom = cfg.geometry
     a = geom.a
     b = geom.b
     if a is None or b is None:
         raise ConfigInvalid("compare needs geometry.a and geometry.b")
+    n_fine = cfg.grid_nx
+    n_coarse = max(16, n_fine // 2)
+    if n_coarse == n_fine:
+        raise ConfigInvalid("compare needs grid.nx > 16 to have a coarser "
+                            "grid for its convergence orders")
 
     # the probes use the canonical wall pair whatever geometry.boundary says
     domain = GeometrySpec("strip").strip_domain(a, b)
@@ -349,8 +328,6 @@ def _run_compare(cfg, seed):
         lam_num = op.rayleigh(phi)
         mode_rows.append((n, lam_num, lam_an, abs(lam_num - lam_an) / lam_an))
 
-    n_fine = cfg.grid_nx
-    n_coarse = max(16, n_fine // 2)
     field_rows = []
     for label, probe in (("state", analytic_oracle.state_probe_error),
                          ("jump", analytic_oracle.jump_probe_error)):
@@ -385,7 +362,7 @@ def _run_compare(cfg, seed):
         "exit_code": code,
         "config": {"a": a, "b": b, "grid_nx": cfg.grid_nx,
                    "grid_ny": cfg.grid_ny, "modes": list(cfg.eigen.modes),
-                   "restriction": cfg.eigen.restriction, "seed": seed},
+                   "restriction": cfg.eigen.restriction},
         "modes": [
             {"mode": n,
              "numeric": _num(num, "numeric"),
@@ -503,21 +480,20 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        seed = _resolve_seed(cfg)
         if args.jobs < 1:
             raise ConfigInvalid("--jobs must be >= 1")
 
         if args.command == "analyze":
-            report, code = _run_analyze(cfg, seed)
+            report, code = _run_analyze(cfg)
             _emit(_json_text(report), cfg.out_path)
         elif args.command == "phase-diagram":
             csv_text, code = _run_phase_diagram(cfg, args.jobs)
             _emit(csv_text, cfg.out_path)
         elif args.command == "validate":
-            report, code = _run_validate(cfg, seed)
+            report, code = _run_validate(cfg)
             _emit(_json_text(report), cfg.out_path)
         elif args.command == "compare":
-            table, report, code = _run_compare(cfg, seed)
+            table, report, code = _run_compare(cfg)
             sys.stdout.write(table)
             if cfg.out_path:
                 _emit(_json_text(report), cfg.out_path)

@@ -105,9 +105,12 @@ def _parse_overtones(obj, key, path):
     for k, item in enumerate(raw):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or isinstance(item[0], bool) or not isinstance(item[0], int)
-                or item[0] < 1 or not isinstance(item[1], (int, float))):
-            raise ConfigInvalid("%s.%s[%d] must be [positive-int mode, amplitude]"
-                                % (path, key, k))
+                or item[0] < 1 or isinstance(item[1], bool)
+                or not isinstance(item[1], (int, float))
+                or not math.isfinite(item[1])):
+            raise ConfigInvalid(
+                "%s.%s[%d] must be [positive-int mode, finite amplitude]"
+                % (path, key, k))
         out.append((item[0], float(item[1])))
     return tuple(out)
 
@@ -270,9 +273,6 @@ def _parse_geometry(obj):
 
 @dataclass(frozen=True)
 class EigenSpec:
-    tol: float = 1e-8
-    max_iter: int = 200
-    seed: int = None
     restriction: str = "mean_zero"
     band: float = 0.02
     compute_mu: bool = False
@@ -331,7 +331,10 @@ def parse_config(data):
                    positive=True)
 
     eig = _section(data, "eigen", "eigen", {
-        "tol", "max_iter", "seed", "restriction", "band", "compute_mu", "modes"})
+        "seed", "restriction", "band", "compute_mu", "modes"})
+    # deprecated: eigen.seed is still type-checked, but the dense
+    # eigensolve has no random start, so the value is dropped
+    _integer(eig, "seed", "eigen")
     restriction = eig.get("restriction", EigenSpec.restriction)
     if restriction not in RESTRICTIONS:
         raise ConfigInvalid("eigen.restriction must be %s or %s"
@@ -344,10 +347,6 @@ def parse_config(data):
             or any(isinstance(v, bool) or not isinstance(v, int) for v in modes_raw)):
         raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
     eigen = EigenSpec(
-        tol=_number(eig, "tol", "eigen", default=EigenSpec.tol, positive=True),
-        max_iter=_integer(eig, "max_iter", "eigen", default=EigenSpec.max_iter,
-                          minimum=1),
-        seed=_integer(eig, "seed", "eigen", default=EigenSpec.seed),
         restriction=restriction,
         band=_number(eig, "band", "eigen", default=EigenSpec.band, positive=True),
         compute_mu=compute_mu,

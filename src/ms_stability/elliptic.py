@@ -452,7 +452,7 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
     return _solve_sides(system, problems, (0.0, 0.0), rtol)
 
 
-def dirichlet_energy(field, region="whole"):
+def dirichlet_energy(field):
     """Integral of |grad u|^2 by the assembly Gauss rule.
 
     Using the same quadrature as the stiffness assembly makes the energy
@@ -461,11 +461,5 @@ def dirichlet_energy(field, region="whole"):
     solver accuracy.
     """
     system = field.system
-    total = 0.0
-    if region in ("whole", "upper"):
-        total += system.upper.energy(field.w_upper, field.slope_upper)
-    if region in ("whole", "lower"):
-        total += system.lower.energy(field.w_lower, field.slope_lower)
-    if region not in ("whole", "upper", "lower"):
-        raise ValueError("region must be 'whole', 'upper' or 'lower'")
-    return total
+    return (system.upper.energy(field.w_upper, field.slope_upper)
+            + system.lower.energy(field.w_lower, field.slope_lower))

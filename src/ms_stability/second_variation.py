@@ -36,7 +36,6 @@ import scipy.linalg
 from . import elliptic, geometry
 from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
-DEFAULT_SEED = 1729
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
 
 
@@ -269,10 +268,11 @@ class TOperator:
 
 @dataclass(frozen=True)
 class EigenStats:
-    iterations: int
-    converged: bool
-    change: float
-    cg_iterations: int = 0
+    """What one eigen call did: the dense solve fixes iterations at 0 and
+    converged at True; note names a zero operator or an empty constraint."""
+
+    iterations: int = 0
+    converged: bool = True
     note: str = ""
 
 
@@ -288,45 +288,38 @@ class SecondVariationResult:
     value: float
     dual: float
     mismatch: float
-    stats: elliptic.SolveStats
 
 
 def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
     """Evaluate the second variation at a raw perturbation phi."""
     phi = np.asarray(phi, dtype=float)
     coupling = elliptic.JumpCoupling(state)
-    vfield, stats = elliptic.solve_jump_source(state, phi, rtol=rtol,
-                                               coupling=coupling)
+    vfield, _ = elliptic.solve_jump_source(state, phi, rtol=rtol,
+                                           coupling=coupling)
     norm_sq = gram.form(phi)
     t_form = float(phi @ coupling.dual_vector(vfield))
     direct = -2.0 * elliptic.dirichlet_energy(vfield) + norm_sq
     dual = norm_sq - t_form
     mismatch = abs(direct - dual) / max(1.0, abs(direct))
-    return SecondVariationResult(value=direct, dual=dual, mismatch=mismatch,
-                                 stats=stats)
+    return SecondVariationResult(value=direct, dual=dual, mismatch=mismatch)
 
 
-def _dense_stats(note):
-    return EigenStats(iterations=0, converged=True, change=0.0,
-                      cg_iterations=0, note=note)
+def lambda1(op, seed=None):
+    """Leading eigenvalue of T on the restriction subspace.
 
-
-# tol, max_iter and seed are accepted and ignored: the dense eigensolve
-# has no tolerance, iteration cap or random start.
-
-def lambda1(op, tol=1e-8, max_iter=200, seed=None):
-    """Leading eigenvalue of T on the restriction subspace."""
+    seed is accepted and ignored: the dense eigensolve has no random start.
+    """
     values, note = op.spectrum()
-    return float(values[0]), _dense_stats(note)
+    return float(values[0]), EigenStats(note=note)
 
 
-def leading_eigenvalues(op, count=2, tol=1e-8, max_iter=200, seed=None):
+def leading_eigenvalues(op, count=2):
     """First count eigenvalues of T, descending."""
-    values, note = op.spectrum()
-    return [float(v) for v in values[:count]], [_dense_stats(note)] * count
+    values, _ = op.spectrum()
+    return [float(v) for v in values[:count]]
 
 
-def mu(op, tol=1e-8, max_iter=200, seed=None):
+def mu(op):
     """Dual stability value: minimum of twice the bulk energy over fields
     whose induced curve perturbation has unit scalar-product norm.
 
@@ -336,12 +329,12 @@ def mu(op, tol=1e-8, max_iter=200, seed=None):
     bulk).
     """
     if op.coupling.magnitude() == 0.0:
-        return math.inf, _dense_stats("empty constraint")
+        return math.inf, EigenStats(note="empty constraint")
     values, note = op.spectrum()
     if values[0] <= 0.0:
         raise DegeneratePencil(
             "dual pencil is degenerate: lambda_1 = %.3g" % values[0])
-    return 1.0 / float(values[0]), _dense_stats(note)
+    return 1.0 / float(values[0]), EigenStats(note=note)
 
 
 def verdict_from_eigenvalue(lam, band=0.02):

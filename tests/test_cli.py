@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import re
 
 import pytest
 
@@ -41,7 +43,15 @@ def test_analyze_stable_strip(tmp_path, capsys):
     assert ref["provenance"] == "analytic"
     assert abs(lam["value"] - ref["value"]) <= 0.02 * ref["value"]
     assert report["results"]["sup_residual"]["value"] < 1e-10
-    assert report["stats"]["lambda1"]["converged"] is True
+    eigen = report["stats"]["eigen"]
+    assert eigen["method"] == "dense_eigh"
+    assert eigen["size"] == 31  # mean-zero restriction of 32 curve nodes
+    leading = eigen["leading"]
+    assert len(leading) == 3
+    assert all(v["provenance"] == "numeric" for v in leading)
+    assert leading[0]["value"] == lam["value"]
+    # the cos/sin pair of the leading mode
+    assert leading[1]["value"] == pytest.approx(leading[0]["value"], rel=1e-9)
 
 
 def test_analyze_unstable_strip(tmp_path, capsys):
@@ -203,6 +213,17 @@ def test_compare_json_report(tmp_path, capsys):
     assert all(row["order"]["value"] >= 1.8 for row in report["fields"])
 
 
+def test_compare_needs_a_coarser_grid(tmp_path, capsys):
+    # the coarse grid is max(16, nx // 2), so nx = 16 has none
+    cfg = strip_config(tmp_path, n=16, eigen={"modes": [2]})
+    code = main(["compare", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigInvalid: ")
+    assert "grid.nx" in captured.err
+
+
 def test_oracle_strip_values(tmp_path, capsys):
     cfg = strip_config(tmp_path)
     code, report = run_json(capsys, ["oracle", "--config", cfg])
@@ -220,17 +241,26 @@ def test_oracle_segment_exit_code(tmp_path, capsys):
     assert report["results"]["second_variation_constant"]["value"] == -6.0
 
 
-def test_seed_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MS_STABILITY_SEED", "7")
-    cfg = strip_config(tmp_path)
-    code, report = run_json(capsys, ["analyze", "--config", cfg])
-    assert code == 0
-    assert report["config"]["seed"] == 7
+def test_seed_settings_leave_the_report_unchanged(tmp_path, capsys,
+                                                  monkeypatch):
+    # nothing is randomized: MS_STABILITY_SEED is not read and the
+    # deprecated eigen.seed is accepted but dropped
+    monkeypatch.delenv("MS_STABILITY_SEED", raising=False)
+    plain = strip_config(tmp_path)
+    assert main(["analyze", "--config", plain]) == 0
+    reference = capsys.readouterr().out
 
     monkeypatch.setenv("MS_STABILITY_SEED", "not-a-number")
-    code = main(["analyze", "--config", cfg])
-    assert code == 1
-    assert "MS_STABILITY_SEED" in capsys.readouterr().err
+    assert main(["analyze", "--config", plain]) == 0
+    assert capsys.readouterr().out == reference
+    monkeypatch.delenv("MS_STABILITY_SEED")
+
+    for seed in (7, 12345):
+        cfg = write_config(tmp_path, "seed%d.json" % seed, {
+            "geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+            "grid": {"nx": 32, "ny": 32}, "eigen": {"seed": seed}})
+        assert main(["analyze", "--config", cfg]) == 0
+        assert capsys.readouterr().out == reference
 
 
 def test_cli_overrides(tmp_path, capsys):
@@ -292,11 +322,25 @@ def test_missing_config_file(tmp_path, capsys):
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                    "curve": {"heights": {"x": 1}, "mode": 2}}},
      "geometry.curve.heights"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "boundary": {"top": {"cos": [[1, math.nan]]}}}},
+     "geometry.boundary.top.cos[0]"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "boundary": {"top": {"cos": [[2, 0.1], [1, True]]}}}},
+     "geometry.boundary.top.cos[1]"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "eigen": {"tol": 1e-8}}, "eigen.tol"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "eigen": {"max_iter": 200}}, "eigen.max_iter"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "eigen": {"seed": "7"}}, "eigen.seed"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
-        "heights-number-with-sine-keys", "heights-object-with-sine-keys"])
+        "heights-number-with-sine-keys", "heights-object-with-sine-keys",
+        "overtone-amplitude-nan", "overtone-amplitude-bool", "eigen-tol",
+        "eigen-max-iter", "eigen-seed-type"])
 def test_config_rejections(data, needle):
-    with pytest.raises(ConfigInvalid, match=needle.replace(".", r"\.")):
+    with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)
 
 
@@ -453,3 +497,12 @@ def test_compare_ignores_the_configured_walls(tmp_path, capsys):
         reports.append(out_path.read_bytes())
     capsys.readouterr()
     assert reports[0] == reports[1]
+
+
+def test_readme_config_block_parses():
+    # the README's annotated configuration must stay a valid config
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```jsonc\n(.*?)```", readme.read_text(), re.S).group(1)
+    text = "\n".join(line.split("//")[0] for line in block.splitlines())
+    cfg = parse_config(json.loads(text))
+    assert cfg.geometry.kind == "strip"
