@@ -156,7 +156,7 @@ def _analyze_strip(cfg):
         "results": results,
         "stats": {
             "eigen": {
-                "method": "dense_eigh",
+                "method": "none" if lam_stats.note else "dense_eigh",
                 "size": op.gram.basis.shape[1],
                 "leading": [_num(v, "numeric") for v in
                             second_variation.leading_eigenvalues(op, 3)],

@@ -42,6 +42,14 @@ def _section(obj, key, path, allowed):
     return sub
 
 
+def _float(val):
+    """float(val), reading an integer beyond the float range as infinite."""
+    try:
+        return float(val)
+    except OverflowError:
+        return math.inf if val > 0 else -math.inf
+
+
 def _number(obj, key, path, default=None, required=False, positive=False):
     if key not in obj or obj[key] is None:
         if required:
@@ -50,7 +58,7 @@ def _number(obj, key, path, default=None, required=False, positive=False):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigInvalid("%s.%s must be a number" % (path, key))
-    val = float(val)
+    val = _float(val)
     if not math.isfinite(val):
         raise ConfigInvalid("%s.%s must be finite" % (path, key))
     if positive and val <= 0:
@@ -107,7 +115,7 @@ def _parse_overtones(obj, key, path):
                 or isinstance(item[0], bool) or not isinstance(item[0], int)
                 or item[0] < 1 or isinstance(item[1], bool)
                 or not isinstance(item[1], (int, float))
-                or not math.isfinite(item[1])):
+                or not math.isfinite(_float(item[1]))):
             raise ConfigInvalid(
                 "%s.%s[%d] must be [positive-int mode, finite amplitude]"
                 % (path, key, k))
@@ -176,7 +184,7 @@ def _parse_curve(parent, path):
     if isinstance(heights, list):
         for k, v in enumerate(heights):
             if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not math.isfinite(float(v)):
+                    or not math.isfinite(_float(v)):
                 raise ConfigInvalid("%s.heights[%d] must be a finite number"
                                     % (path, k))
         vals = tuple(float(v) for v in heights)
@@ -199,7 +207,7 @@ def _parse_values(obj, key, path):
     out = []
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not math.isfinite(float(v)) or float(v) <= 0:
+                or not math.isfinite(_float(v)) or v <= 0:
             raise ConfigInvalid("%s.%s[%d] must be a positive number"
                                 % (path, key, k))
         out.append(float(v))

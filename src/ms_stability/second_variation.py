@@ -18,8 +18,9 @@ Loads of the jump-transport problem act on the curve row only, so
     A = 2 sum_+- C+-^T (a_uu+-^-1)_00 C+-,
 
 where C+- are the coupling matrices and (a_uu^-1)_00 is the curve-row
-block of each side's inverse stiffness.  TOperator builds A once, by a
-block sweep over the grid rows, and both eigenvalues come from one
+block of each side's inverse stiffness.  TOperator builds A once (from
+the flat-strip Fourier symbol on a flat curve, by a block sweep over the
+grid rows on a curved one), and both eigenvalues come from one
 dense generalized eigensolve of the restricted pencil (P^T A P, P^T G P):
 lambda_1 is its top eigenvalue and mu = 1 / lambda_1, so the two are
 algebraically tied rather than independent evidence.  TOperator.apply
@@ -221,7 +222,7 @@ class TOperator:
         """Dense A with A @ phi the dual vector r of apply(phi).
 
         A = 2 sum C^T (a_uu^-1)_00 C over both sides; a side with zero
-        coupling contributes nothing and skips its sweep.
+        coupling contributes nothing and skips its curve block.
         """
         if self._dual_matrix is None:
             mat = np.zeros((self.gram.size, self.gram.size))
@@ -269,7 +270,8 @@ class TOperator:
 @dataclass(frozen=True)
 class EigenStats:
     """What one eigen call did: the dense solve fixes iterations at 0 and
-    converged at True; note names a zero operator or an empty constraint."""
+    converged at True; note is set exactly when no eigensolve ran, and
+    names why (a zero operator or an empty constraint)."""
 
     iterations: int = 0
     converged: bool = True

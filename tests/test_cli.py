@@ -26,6 +26,10 @@ def strip_config(tmp_path, a=1.0, b=1.0, n=32, **extra):
     return write_config(tmp_path, "cfg.json", data)
 
 
+# an integer JSON literal too large for a float: 1 followed by 400 zeros
+HUGE = 10 ** 400
+
+
 def run_json(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -334,11 +338,25 @@ def test_missing_config_file(tmp_path, capsys):
       "eigen": {"max_iter": 200}}, "eigen.max_iter"),
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
       "eigen": {"seed": "7"}}, "eigen.seed"),
+    # integer literals beyond the float range, one per place a number is read
+    ({"geometry": {"kind": "strip", "a": HUGE, "b": 1.0}}, "geometry.a"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "boundary": {"top": {"sin": [[1, -HUGE]]}}}},
+     "geometry.boundary.top.sin[0]"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": [0.0] * 15 + [HUGE]}}},
+     "geometry.curve.heights[15]"),
+    ({"geometry": {"kind": "strip", "a_values": [1.0, HUGE],
+                   "b_values": [1.0]}}, "geometry.a_values[1]"),
+    ({"geometry": {"kind": "strip", "a_values": [1.0],
+                   "b_values": [HUGE]}}, "geometry.b_values[0]"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
         "heights-number-with-sine-keys", "heights-object-with-sine-keys",
         "overtone-amplitude-nan", "overtone-amplitude-bool", "eigen-tol",
-        "eigen-max-iter", "eigen-seed-type"])
+        "eigen-max-iter", "eigen-seed-type", "huge-number",
+        "huge-overtone-amplitude", "huge-height", "huge-a-value",
+        "huge-b-value"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)
@@ -390,6 +408,11 @@ def test_zero_data_gives_empty_operator(tmp_path, capsys):
     notes = " ".join(report["notes"])
     assert "operator is zero" in notes and "empty constraint" in notes
     assert "jump degenerates" in notes
+    # no eigensolve ran, and the report says so
+    eigen = report["stats"]["eigen"]
+    assert eigen["method"] == "none"
+    assert eigen["size"] == 31
+    assert [v["value"] for v in eigen["leading"]] == [0.0, 0.0, 0.0]
 
 
 # wall slopes (s+, s-) with the mean squared slope by which they scale T

@@ -271,3 +271,29 @@ def test_preconditioned_cg_on_random_curves(problem):
         assert stats.residual <= 1e-12
         exact = scipy.sparse.linalg.spsolve(comp.a_uu.tocsc(), rhs)
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+def test_cg_stop_is_confirmed_on_the_true_residual(monkeypatch):
+    # scipy's CG stops on its recurrence residual, which can sit a rounding
+    # error below b - A x; a stop the true residual does not confirm must be
+    # resumed from x, not reported as converged.
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
+    domain = ms.StripDomain(1.0, 1.0, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    comp = elliptic.StripSystem(domain, curve, ms.Grid(32, 32)).upper
+    rhs = np.random.default_rng(5).standard_normal(comp.n_unknown)
+    real_cg = scipy.sparse.linalg.cg
+    starts = []
+
+    def early_stop(A, b, **kwargs):
+        starts.append(kwargs["x0"])
+        if len(starts) == 1:
+            x, _ = real_cg(A, b, **dict(kwargs, maxiter=1))
+            return x, 0
+        return real_cg(A, b, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "cg", early_stop)
+    x, stats = comp.solve(rhs, rtol=1e-10)
+    assert len(starts) == 2 and starts[0] is None and starts[1] is not None
+    assert stats.iterations > 1
+    true = np.linalg.norm(rhs - comp.a_uu @ x) / np.linalg.norm(rhs)
+    assert stats.residual == true <= 1e-10

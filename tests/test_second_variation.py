@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 import ms_stability as ms
+from ms_stability import elliptic
 from ms_stability.errors import GramSingular, InvalidRestriction
 
 from conftest import drift_domain, flat_setup
@@ -203,11 +205,15 @@ def test_dense_eigensolves_confirm_iterative_values():
 @pytest.mark.parametrize("restriction", ["mean_zero", "endpoint_zero"])
 @pytest.mark.parametrize("a,b,amplitude,n", [
     (1.0, 1.0, 0.05, 32), (1.0, 2.0, 0.08, 48), (0.5, 1.0, 0.03, 64),
+    (0.7, 1.3, 0.0, 48),
 ])
 def test_dual_matrix_matches_transport_solves_on_curved_mesh(
         a, b, amplitude, n, restriction):
-    # The row sweep behind the dense A against the CG transport solve on
-    # a mapped (non-uniform) mesh: A P phi must be the dual vector.
+    # The dense A against the CG transport solve: A P phi must be the dual
+    # vector.  A curved (mapped, non-uniform) mesh builds A by the row
+    # sweep; amplitude 0 is the flat mesh, which builds it from the Fourier
+    # symbol.  CG stops on its residual against the assembled a_uu, so it
+    # checks either route independently.
     domain = drift_domain(a, b)
     curve = ms.sinusoidal_curve(b, n, mode=1, amplitude=amplitude)
     state, _ = ms.solve_state(domain, curve, ms.Grid(n, n))
@@ -223,6 +229,65 @@ def test_dual_matrix_matches_transport_solves_on_curved_mesh(
     scale = np.max(np.abs(mat))
     assert np.max(np.abs(mat - mat.T)) <= 1e-12 * scale
     assert np.linalg.eigvalsh(mat).min() >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("a,b,nx,ny,height", [
+    (1.0, 1.0, 64, 64, 0.0), (0.7, 1.3, 48, 48, 0.0), (0.5, 2.0, 64, 40, 0.0),
+    (1.0, 1.0, 48, 64, 0.2),
+])
+def test_flat_curve_block_matches_row_sweep(a, b, nx, ny, height):
+    # Checks the code, not the discretization: on a flat mesh both routes
+    # compute the same (a_uu^-1)_00 of the same stiffness, one from the
+    # flat-strip symbol, one by block elimination.
+    curve = ms.GraphCurve(b, np.full(nx, height))
+    system = elliptic.StripSystem(drift_domain(a, b), curve, ms.Grid(nx, ny))
+    for comp in (system.upper, system.lower):
+        sweep = comp._row_sweep()
+        fourier = comp.curve_block_inverse()
+        assert np.max(np.abs(fourier - sweep)) <= 1e-12 * np.max(np.abs(sweep))
+
+
+def test_curve_block_route_follows_the_heights(monkeypatch):
+    # Only a curve whose heights are all equal skips the sweep; a single
+    # node raised by 1e-9 already takes it.
+    swept = []
+    sweep = elliptic._Component._row_sweep
+
+    def spy(comp):
+        swept.append(comp.side)
+        return sweep(comp)
+
+    monkeypatch.setattr(elliptic._Component, "_row_sweep", spy)
+    heights = np.full(32, 0.1)
+    grid = ms.Grid(32, 32)
+    flat = elliptic.StripSystem(drift_domain(), ms.GraphCurve(1.0, heights), grid)
+    flat.upper.curve_block_inverse()
+    flat.lower.curve_block_inverse()
+    assert swept == []
+    heights[5] += 1e-9
+    bumped = elliptic.StripSystem(drift_domain(), ms.GraphCurve(1.0, heights), grid)
+    bumped.upper.curve_block_inverse()
+    bumped.lower.curve_block_inverse()
+    assert swept == ["upper", "lower"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(0.25, 2.0), st.floats(0.5, 4.0))
+def test_flat_mode_law(a, b):
+    # On a flat pair the top two eigenvalues are the cos/sin pair of the
+    # leading mode cos(2 pi x / b), and lambda_1 follows the closed form.
+    # Over a 12 x 12 scan of this box at 48^2 the pair split at most by
+    # 1.3e-14 and the closed form was missed by at most 1.34%, at
+    # a = 2, b = 0.5.
+    _, curve, _, state, _ = flat_setup(a, b, 48)
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+    values = ms.leading_eigenvalues(op, count=2)
+    assert values[1] == pytest.approx(values[0], rel=1e-12)
+    arg = 2.0 * math.pi * curve.abscissae / b
+    for phi in (np.cos(arg), np.sin(arg)):
+        quotient = (phi @ op.dual_matrix @ phi) / op.gram.form(phi)
+        assert quotient == pytest.approx(values[0], rel=1e-12)
+    assert values[0] == pytest.approx(ms.lambda1_strip(a, b), rel=0.02)
 
 
 def test_lambda1_converges_at_second_order():
