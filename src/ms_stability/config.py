@@ -72,6 +72,8 @@ def _integer(obj, key, path, default=None, minimum=None):
     val = obj[key]
     if isinstance(val, bool) or not isinstance(val, int):
         raise ConfigInvalid("%s.%s must be an integer" % (path, key))
+    if not math.isfinite(_float(val)):
+        raise ConfigInvalid("%s.%s is too large" % (path, key))
     if minimum is not None and val < minimum:
         raise ConfigInvalid("%s.%s must be >= %d" % (path, key, minimum))
     return val
@@ -113,7 +115,8 @@ def _parse_overtones(obj, key, path):
     for k, item in enumerate(raw):
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or isinstance(item[0], bool) or not isinstance(item[0], int)
-                or item[0] < 1 or isinstance(item[1], bool)
+                or item[0] < 1 or not math.isfinite(_float(item[0]))
+                or isinstance(item[1], bool)
                 or not isinstance(item[1], (int, float))
                 or not math.isfinite(_float(item[1]))):
             raise ConfigInvalid(
@@ -354,6 +357,9 @@ def parse_config(data):
     if (not isinstance(modes_raw, list) or not modes_raw
             or any(isinstance(v, bool) or not isinstance(v, int) for v in modes_raw)):
         raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
+    for k, mode in enumerate(modes_raw):
+        if not math.isfinite(_float(mode)):
+            raise ConfigInvalid("eigen.modes[%d] is too large" % k)
     eigen = EigenSpec(
         restriction=restriction,
         band=_number(eig, "band", "eigen", default=EigenSpec.band, positive=True),

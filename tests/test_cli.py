@@ -350,13 +350,25 @@ def test_missing_config_file(tmp_path, capsys):
                    "b_values": [1.0]}}, "geometry.a_values[1]"),
     ({"geometry": {"kind": "strip", "a_values": [1.0],
                    "b_values": [HUGE]}}, "geometry.b_values[0]"),
+    # integer fields too large for a float, which they are used as
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"mode": HUGE, "amplitude": 0.05}}},
+     "geometry.curve.mode"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "validate": {"flow": {"mode": HUGE}}}, "validate.flow.mode"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "eigen": {"modes": [2, HUGE]}}, "eigen.modes[1]"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "boundary": {"top": {"cos": [[HUGE, 0.1]]}}}},
+     "geometry.boundary.top.cos[0]"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
         "heights-number-with-sine-keys", "heights-object-with-sine-keys",
         "overtone-amplitude-nan", "overtone-amplitude-bool", "eigen-tol",
         "eigen-max-iter", "eigen-seed-type", "huge-number",
         "huge-overtone-amplitude", "huge-height", "huge-a-value",
-        "huge-b-value"])
+        "huge-b-value", "huge-curve-mode", "huge-flow-mode", "huge-eigen-mode",
+        "huge-overtone-mode"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)

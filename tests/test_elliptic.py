@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,21 +114,142 @@ def test_constant_perturbation_gives_zero_transport_field(unit_strip_state):
     assert np.max(np.abs(field.w_lower)) < 1e-9
 
 
-def test_energy_matches_stiffness_quadratic_form(unit_strip_state):
-    # Quadrature energy of a zero-wall field equals v' A v by construction.
-    _, curve, grid, state, _ = unit_strip_state
-    phi = np.cos(2.0 * math.pi * curve.abscissae)
-    field, _ = ms.solve_jump_source(state, phi)
+def side_area(domain, curve, side):
+    """Area of one side of the mesh: the trapezoid rule on the heights."""
+    sign = 1.0 if side == "upper" else -1.0
+    heights = domain.half_height - sign * curve.heights
+    return curve.spacing * float(np.sum(heights))
+
+
+def check_energy_form(state, slope):
+    # For a zero-wall field v and drift slope s the Gauss-rule energy is
+    # v'Av + 2 s d'v + s^2 area on each side.
+    curve = state.system.curve
+    field, _ = ms.solve_jump_source(state, np.cos(2.0 * math.pi * curve.abscissae))
     total = 0.0
     for side in ("upper", "lower"):
         comp = getattr(state.system, side)
         v = field.unknown_vector(side)
         form = float(v @ (comp.a_uu @ v))
-        assert comp.energy(getattr(field, "w_" + side),
-                           getattr(field, "slope_" + side)) \
-            == pytest.approx(form, rel=1e-12)
+        expect = (form + 2.0 * slope * float(comp.drift_load @ v)
+                  + slope ** 2 * side_area(state.system.domain, curve, side))
+        assert comp.energy(getattr(field, "w_" + side), slope) \
+            == pytest.approx(expect, rel=1e-12)
         total += form
     assert ms.dirichlet_energy(field) == pytest.approx(total, rel=1e-12)
+
+
+def test_energy_matches_stiffness_quadratic_form(unit_strip_state):
+    # Quadrature energy of a zero-wall field equals v' A v by construction.
+    check_energy_form(unit_strip_state[3], 0.0)
+
+
+def test_energy_matches_stiffness_quadratic_form_on_curved_mesh():
+    # Implementation consistency, not an independent check: the energy and
+    # the stiffness come from the same column factors.  With a drift slope
+    # on a curved mesh it pins the curved drift load as well.
+    curve = ms.sinusoidal_curve(1.0, 48, mode=1, amplitude=0.2)
+    state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(48, 40))
+    check_energy_form(state, 0.7)
+
+
+@pytest.mark.parametrize("a, b, nx, ny, mode, amplitude", (
+    (1.0, 1.0, 48, 32, 1, 0.3), (0.7, 1.3, 40, 56, 2, 0.35),
+    (2.0, 0.5, 64, 24, 3, 0.5)))
+def test_curved_patch_test(a, b, nx, ny, mode, amplitude):
+    # Isoparametric bilinears reproduce u = s x + beta y + c exactly, and
+    # grad N |det| is bilinear in (xi, eta), so the 2x2 Gauss rule is exact:
+    # the Galerkin residual vanishes on every interior row and the energy
+    # is (s^2 + beta^2) times the area, on a curved mesh as on a flat one.
+    s, beta, c = 0.6, -1.3, 0.4
+    domain = ms.StripDomain(a, b, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    curve = ms.sinusoidal_curve(b, nx, mode=mode, amplitude=amplitude)
+    system = elliptic.StripSystem(domain, curve, ms.Grid(nx, ny))
+    frac = (np.arange(ny + 1) / ny)[:, None]
+    for side, sign in (("upper", 1.0), ("lower", -1.0)):
+        comp = getattr(system, side)
+        w = beta * (curve.heights * (1.0 - frac) + sign * a * frac) + c
+        residual = (comp.a_uu @ w[:-1].ravel() + comp.wall_coupling(w[-1])
+                    + s * comp.drift_load)
+        scale = abs(comp.a_uu).max() * np.abs(w).max()
+        assert np.max(np.abs(residual[nx:])) <= 1e-12 * scale
+        assert comp.energy(w, s) == pytest.approx(
+            (s * s + beta * beta) * side_area(domain, curve, side), rel=1e-13)
+
+
+def reference_assembly(domain, curve, grid, side):
+    """Textbook per-cell assembly: J^-T grad_ref N at each Gauss point.
+
+    Returns the dense stiffness on all (ny + 1) * nx nodes, the drift load
+    int dN/dx and the area, from a loop over cells and Gauss points.
+    """
+    nx, ny = grid.nx, grid.ny
+    hx = domain.period / nx
+    sign = 1.0 if side == "upper" else -1.0
+    frac = (np.arange(ny + 1) / ny)[:, None]
+    y = curve.heights * (1.0 - frac) + sign * domain.half_height * frac
+    gauss = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
+    a_full = np.zeros((nx * (ny + 1), nx * (ny + 1)))
+    drift = np.zeros(nx * (ny + 1))
+    area = 0.0
+    for j in range(ny):
+        for i in range(nx):
+            ip = (i + 1) % nx
+            nodes = [j * nx + i, j * nx + ip, (j + 1) * nx + i, (j + 1) * nx + ip]
+            ys = np.array([y[j, i], y[j, ip], y[j + 1, i], y[j + 1, ip]])
+            for xi in gauss:
+                for eta in gauss:
+                    ref = np.array([[eta - 1.0, 1.0 - eta, -eta, eta],
+                                    [xi - 1.0, -xi, 1.0 - xi, xi]])
+                    # row r: derivatives of (x, y) along reference axis r
+                    jac = np.column_stack([[hx, 0.0], ref @ ys])
+                    grad = np.linalg.solve(jac, ref)
+                    wdet = 0.25 * abs(np.linalg.det(jac))
+                    a_full[np.ix_(nodes, nodes)] += wdet * grad.T @ grad
+                    drift[nodes] += wdet * grad[0]
+                    area += wdet
+    return a_full, drift, area
+
+
+@pytest.mark.parametrize("nx, ny, amplitude", ((24, 16, 0.3), (16, 20, 0.0)))
+def test_assembly_matches_per_cell_reference(nx, ny, amplitude):
+    # The column-factor assembly against the per-cell route it replaced,
+    # to rounding: a_uu, the wall coupling, the drift load and the energy.
+    domain = ms.StripDomain(0.8, 1.3, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    curve = ms.sinusoidal_curve(1.3, nx, mode=2, amplitude=amplitude)
+    system = elliptic.StripSystem(domain, curve, ms.Grid(nx, ny))
+    rng = np.random.default_rng(nx)
+    n_u = nx * ny
+    for side in ("upper", "lower"):
+        comp = getattr(system, side)
+        a_full, drift, area = reference_assembly(domain, curve, system.grid, side)
+        scale = np.max(np.abs(a_full))
+        assert np.max(np.abs(comp.a_uu.toarray() - a_full[:n_u, :n_u])) <= 1e-13 * scale
+        w = rng.standard_normal(nx * (ny + 1))
+        np.testing.assert_allclose(comp.wall_coupling(w[n_u:]),
+                                   a_full[:n_u, n_u:] @ w[n_u:], rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(comp.drift_load, drift[:n_u], rtol=0,
+                                   atol=1e-13 * np.max(np.abs(drift)) + 1e-16)
+        s = 0.7
+        energy = w @ a_full @ w + 2.0 * s * drift @ w + s * s * area
+        assert comp.energy(w.reshape(ny + 1, nx), s) == pytest.approx(energy, rel=1e-12)
+
+
+def test_assembly_keeps_no_per_cell_arrays():
+    # Peak traced memory of one 128^2 side: 18.7 MB when the assembly held
+    # (cells, 4, 4) gradient arrays and a COO copy, 6.9 MB from the column
+    # factors and the stencil.
+    domain = drift_domain()
+    curve = ms.sinusoidal_curve(1.0, 128, mode=1, amplitude=0.1)
+    grid = ms.Grid(128, 128)
+    elliptic._Component(domain, curve, grid, "upper")
+    tracemalloc.start()
+    try:
+        elliptic._Component(domain, curve, grid, "upper")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 def test_energy_of_analytic_mode_matches_quadrature_oracle():
@@ -162,6 +284,10 @@ def test_solver_guards():
     _, curve, grid, state, _ = flat_setup(n=16)
     with pytest.raises(ValueError):
         ms.solve_jump_source(state, np.ones(7))
+    # two neighbouring nodes on the wall flatten a column of cells
+    touching = ms.GraphCurve(1.0, np.where(np.arange(32) // 2 == 2, 1.0, 0.0))
+    with pytest.raises(ValueError, match="degenerate cell"):
+        elliptic._Component(domain, touching, ms.Grid(32, 32), "upper")
 
 
 # ------------------------------------------- flat-strip preconditioner
