@@ -17,7 +17,6 @@ dense generalized eigensolve for the straight-segment quadratic form.
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import elliptic, geometry, second_variation
 from .errors import OddMode
@@ -152,6 +151,4 @@ def segment_min_eig(config, m=200):
     mass_main[0] = mass_main[-1] = 2.0 * h / 6.0
     mass = np.diag(mass_main) + np.diag(np.full(m - 1, h / 6.0), 1) \
         + np.diag(np.full(m - 1, h / 6.0), -1)
-    vals = scipy.linalg.eigh(form, mass + stiff, eigvals_only=True,
-                             subset_by_index=(0, 0))
-    return float(vals[0])
+    return float(second_variation.pencil_eigenvalues(form, mass + stiff)[0])

@@ -340,6 +340,9 @@ def parse_config(data):
     solver = _section(data, "solver", "solver", {"rtol"})
     rtol = _number(solver, "rtol", "solver", default=RunConfig.rtol,
                    positive=True)
+    if rtol >= 1.0:
+        # CG would return the zero correction and report it as converged
+        raise ConfigInvalid("solver.rtol must be below 1")
 
     eig = _section(data, "eigen", "eigen", {
         "seed", "restriction", "band", "compute_mu", "modes"})

@@ -15,7 +15,8 @@ cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
 per column, and y_xi = (psi_i+1 - psi_i) t with t = 1 - (j + eta)/ny.
 So every element matrix is a quadratic in t with per-column coefficients;
 one matrix product gives all rows, and slice-adds accumulate them into a
-9-point node stencil, from which the CSR matrix is laid out directly.
+9-point node stencil.  The solver applies the stiffness straight from
+that stencil; a CSR copy is built only when a caller asks for a_uu.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
 so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
@@ -28,15 +29,17 @@ exact inverse of the same side's operator on a flat strip (one cosine
 transform across the rows, one FFT along the period).  On a flat curve
 that is the exact inverse, so CG stops after one iteration; on a curved
 one the iteration count depends on the curve's slope, not on the grid.
+
+Everything a flat curve reaches runs on NumPy alone.  SciPy is imported
+only by the two routines that need it: the curved-mesh row sweep's
+symmetric inverse and the CSR matrix a_uu.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import geometry
 from .errors import SolverDiverged
@@ -107,8 +110,9 @@ class _Component:
     j = ny the wall row, so the first nx*ny indices are the unknowns and
     the trailing nx are the Dirichlet nodes.  The stiffness is held as
     the 9-point stencil of the unknown rows, _stencil[j, dj + 1, di + 1, i]
-    coupling node (j, i) to node (j + dj, i + di mod nx), and as its CSR
-    matrix a_uu.
+    coupling node (j, i) to node (j + dj, i + di mod nx).  Its storage is
+    ordered (dj, di, row, column) with a zero ghost column on each side,
+    the layout _apply reads as nine contiguous coefficient rows.
     """
 
     def __init__(self, domain, curve, grid, side):
@@ -147,14 +151,17 @@ class _Component:
                  ).reshape(ny, 20, nx)
 
         # Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia); column
-        # nx is folded back onto column 0.
-        stencil = np.zeros((ny + 1, 3, 3, nx + 1))
+        # nx is folded back onto column 0 and then cleared, which leaves
+        # it as the right ghost column of the storage.
+        storage = np.zeros((3, 3, ny + 1, nx + 2))
+        stencil = storage.transpose(2, 0, 1, 3)[..., 1:]  # (j, dj, di, i)
         drift = np.zeros((ny + 1, nx + 1))
         for e, ((ia, ja), (ib, jb)) in enumerate(itertools.product(_CORNERS, _CORNERS)):
             stencil[ja:ja + ny, jb - ja + 1, ib - ia + 1, ia:ia + nx] += cells[:, e]
         for e, (ia, ja) in enumerate(_CORNERS):
             drift[ja:ja + ny, ia:ia + nx] += cells[:, 16 + e]
         stencil[..., 0] += stencil[..., nx]
+        stencil[..., nx] = 0.0
         drift[:, 0] += drift[:, nx]
 
         self.side = side
@@ -162,7 +169,7 @@ class _Component:
         self.ny = ny
         self.n_unknown = nx * ny
         self._stencil = stencil[:ny, ..., :nx]
-        self.a_uu = _stencil_csr(self._stencil)
+        self._coef = storage[:, :, :ny].reshape(9, -1)  # (3 dj + di, padded node)
         self.drift_load = drift[:ny, :nx].ravel()
         self._weight = weight
         self._inv_y_eta = 1.0 / y_eta
@@ -198,6 +205,37 @@ class _Component:
                             n=self.nx, axis=1)
         return (self._cos_y @ coef).ravel()
 
+    @functools.cached_property
+    def a_uu(self):
+        """The stiffness of the unknown rows as a CSR matrix, built on first
+        use.  The solver never reads it; it serves inspection and tests."""
+        return _stencil_csr(self._stencil)
+
+    def _apply(self, v):
+        """a_uu @ v straight from the stencil.
+
+        v is copied into a grid with a zero row below the curve row (whose
+        dj = -1 entries are zero anyway) and above row ny - 1 (the wall is
+        not an unknown), and a periodic ghost column on each side.  In that
+        grid, flattened, neighbour (dj, di) sits at a fixed offset, so each
+        of the nine stencil entries is one contiguous multiply-add.
+        """
+        nx, ny = self.nx, self.ny
+        width = nx + 2
+        # One spare entry at each end keeps the di = -1, +1 offsets in range.
+        padded = np.zeros((ny + 2) * width + 2)
+        grid = padded[1:-1].reshape(ny + 2, width)
+        v = v.reshape(ny, nx)
+        grid[1:-1, 1:-1] = v
+        grid[1:-1, 0] = v[:, -1]
+        grid[1:-1, -1] = v[:, 0]
+        size = ny * width
+        out, term = np.zeros(size), np.empty(size)
+        for k, coef in enumerate(self._coef):
+            start = (k // 3) * width + k % 3
+            out += np.multiply(coef, padded[start:start + size], out=term)
+        return out.reshape(ny, width)[:, 1:-1].ravel()
+
     def solve(self, rhs, rtol):
         """CG on the unknown block, preconditioned by the flat-strip inverse.
 
@@ -206,43 +244,63 @@ class _Component:
         curve converges in one iteration and a curved one in a number of
         iterations set by the curve's slope, not by the grid size.  CG
         stops on the unpreconditioned relative residual <= rtol, measured
-        as rhs - a_uu x: scipy stops on its recurrence residual, which can
-        sit a rounding error below the true one, so CG is restarted from x
-        with a halved tolerance until the true residual meets rtol.
+        as rhs - a_uu x: the recurrence residual CG stops on can sit a
+        rounding error below the true one, so each stop is confirmed on the
+        true residual, and an unconfirmed one resumes CG from x, restarted
+        on the true residual with half the threshold.  Raises
+        SolverDiverged when CG breaks down, when a confirmation makes no
+        progress over the previous one (rtol is below what rounding
+        allows), or after MAXITER_FACTOR * nx * ny iterations.
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
-        maxiter = MAXITER_FACTOR * self.nx * self.ny
-        # An explicit dtype keeps scipy from probing the preconditioner
-        # with a zero vector to infer it.
-        precond = scipy.sparse.linalg.LinearOperator(
-            self.a_uu.shape, matvec=self._flat_inverse, dtype=float
-        )
-        count = [0]
-
-        def tick(_):
-            count[0] += 1
-
-        x, tol = None, rtol
+        norm = np.linalg.norm(rhs)
+        x, r, count = np.zeros(self.n_unknown), np.array(rhs, dtype=float), 0
+        bound, last = rtol * norm, np.inf
         while True:
-            if count[0] >= maxiter:
-                info = maxiter
-            else:
-                x, info = scipy.sparse.linalg.cg(
-                    self.a_uu, rhs, x0=x, rtol=tol, atol=0.0,
-                    maxiter=maxiter - count[0], M=precond, callback=tick,
-                )
-            if info != 0:
-                raise SolverDiverged(
-                    "CG on %s component gave info=%d after %d iterations"
-                    % (self.side, info, count[0])
-                )
-            residual = float(
-                np.linalg.norm(rhs - self.a_uu @ x) / np.linalg.norm(rhs)
-            )
+            x, count = self._cg(x, r, bound, count)
+            r = rhs - self._apply(x)
+            residual = float(np.linalg.norm(r) / norm)
             if residual <= rtol:
-                return x, ComponentStats(self.side, count[0], residual)
-            tol *= 0.5
+                return x, ComponentStats(self.side, count, residual)
+            if not residual < last:  # also ends a NaN residual
+                raise SolverDiverged(
+                    "CG on %s component stalled at relative residual %.3g "
+                    "> rtol %.3g after %d iterations"
+                    % (self.side, residual, rtol, count))
+            last, bound = residual, 0.5 * bound
+
+    def _cg(self, x, r, bound, count):
+        """Preconditioned CG from x, whose residual is r, until |r| < bound.
+
+        The recurrence of scipy.sparse.linalg.cg; x and r are updated in
+        place.  count carries the iterations over restarts.  Returns
+        (x, count).
+        """
+        p = rho_prev = None
+        while np.linalg.norm(r) >= bound:
+            if count >= MAXITER_FACTOR * self.n_unknown:
+                raise SolverDiverged("CG on %s component did not converge in "
+                                     "%d iterations" % (self.side, count))
+            z = self._flat_inverse(r)
+            rho = r @ z
+            if p is None:
+                p = z
+            else:
+                p *= rho / rho_prev
+                p += z
+            q = self._apply(p)
+            curvature = p @ q
+            if not (0.0 < rho < np.inf and 0.0 < curvature < np.inf):
+                raise SolverDiverged(
+                    "CG on %s component broke down after %d iterations "
+                    "(r.Mr = %.3g, p.Ap = %.3g)" % (self.side, count, rho, curvature))
+            alpha = rho / curvature
+            x += alpha * p
+            r -= alpha * q
+            rho_prev = rho
+            count += 1
+        return x, count
 
     def curve_block_inverse(self):
         """Curve-row block (a_uu^-1)_00 of the inverse stiffness, (nx, nx).
@@ -253,8 +311,9 @@ class _Component:
         mesh takes the row sweep.
         """
         if self._flat:
-            return scipy.linalg.circulant(
-                np.fft.irfft(self._inv_eig.sum(axis=0), n=self.nx))
+            column = np.fft.irfft(self._inv_eig.sum(axis=0), n=self.nx)
+            i = np.arange(self.nx)
+            return column[(i[:, None] - i) % self.nx]
         return self._row_sweep()
 
     def _row_sweep(self):
@@ -312,46 +371,33 @@ def _stencil_csr(stencil):
     """CSR matrix of the unknown rows of a node stencil, sorted per row.
 
     Row (j, i) holds columns (j + dj, i + di) for dj, di in -1..1, except
-    dj = -1 on the curve row and the wall (dj = +1) on row ny - 1.  Each
-    of the three row blocks is copied once into its slot of the CSR data.
+    dj = -1 on the curve row and the wall (dj = +1) on row ny - 1.
     """
+    import scipy.sparse
+
     ny, nx = stencil.shape[0], stencil.shape[-1]
-    cols = (np.arange(nx)[:, None] + np.arange(-1, 2)) % nx  # (i, di)
-    order = np.argsort(cols, axis=1)  # the wrap reorders di at i = 0, nx - 1
-    ends = [0, nx - 1]
-    pattern = (np.arange(-1, 2)[:, None] * nx
-               + np.take_along_axis(cols, order, axis=1)[:, None])  # (i, dj, di)
-    nnz = nx * (9 * ny - 6)
-    data = np.empty(nnz)
-    indices = np.empty(nnz, dtype=np.int32 if nnz < 2 ** 31 else np.int64)
-    start = 0
-    for rows, dj in ((slice(0, 1), slice(1, 3)), (slice(1, ny - 1), slice(3)),
-                     (slice(ny - 1, ny), slice(2))):
-        block = stencil[rows, dj].transpose(0, 3, 1, 2)  # (j, i, dj, di)
-        out = slice(start, start + block.size)
-        start += block.size
-        vals = data[out].reshape(block.shape)
-        vals[...] = block
-        vals[:, ends] = np.take_along_axis(
-            vals[:, ends], order[ends][None, :, None], axis=3)
-        indices[out].reshape(block.shape)[...] = (
-            np.arange(ny)[rows, None, None, None] * nx + pattern[:, dj])
-    counts = np.full(nx * ny, 9)
-    counts[:nx] = counts[-nx:] = 6
-    return scipy.sparse.csr_matrix((data, indices, np.r_[0, np.cumsum(counts)]),
-                                   shape=(nx * ny, nx * ny))
+    j, dj, di, i = np.indices(stencil.shape)
+    row = j + dj - 1
+    keep = (row >= 0) & (row < ny)
+    cols = row * nx + (i + di - 1) % nx
+    return scipy.sparse.csr_matrix(
+        (stencil[keep], ((j * nx + i)[keep], cols[keep])), shape=(nx * ny, nx * ny))
 
 
 def _sym_inverse(mat):
     """Inverse of a nonsingular symmetric matrix (Bunch-Kaufman).
 
-    Chosen over Cholesky inversion for the sweep's Schur complements:
-    at nx = 128 on two cores with a two-thread OpenBLAS the sweep ran
-    about 1.5x faster this way.
+    Only the curved-mesh row sweep calls it, so SciPy's LAPACK wrappers
+    load here, on first use.  One side's sweep at 256^2 (sine amplitude
+    0.05, two cores, two OpenBLAS threads) took 0.84 s this way, 0.83 s
+    with a Cholesky inversion and 1.19 s with numpy.linalg.inv, a
+    general LU inverse.
     """
-    ldu, piv, info = scipy.linalg.lapack.dsytrf(mat, lower=1, overwrite_a=1)
+    from scipy.linalg import lapack
+
+    ldu, piv, info = lapack.dsytrf(mat, lower=1, overwrite_a=1)
     if info == 0:
-        inv, info = scipy.linalg.lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
+        inv, info = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
     if info != 0:
         raise SolverDiverged("singular Schur complement in the row sweep "
                              "(LAPACK info=%d)" % info)

@@ -32,12 +32,23 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import elliptic, geometry
 from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
+
+
+def pencil_eigenvalues(a, b):
+    """Eigenvalues, ascending, of the symmetric-definite pencil (a, b).
+
+    The Cholesky factor b = L L^T reduces a x = lam b x to the standard
+    symmetric problem L^-1 a L^-T y = lam y, as LAPACK's sygv does.
+    Raises numpy.linalg.LinAlgError when b is not positive definite.
+    """
+    low = np.linalg.cholesky(b)
+    half = np.linalg.solve(low, a)
+    return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
 
 
 def _restriction_basis(kind, restriction, weights):
@@ -79,7 +90,7 @@ class TildeGram:
     restriction: str
     basis: np.ndarray
     _reduced: np.ndarray = field(default=None, repr=False)
-    _chol: tuple = field(default=None, repr=False)
+    _chol: np.ndarray = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -105,15 +116,15 @@ class TildeGram:
         if self._chol is None:
             self._reduced = self.basis.T @ self.matrix @ self.basis
             try:
-                chol = scipy.linalg.cho_factor(self._reduced)
-            except scipy.linalg.LinAlgError as exc:
+                chol = np.linalg.cholesky(self._reduced)
+            except np.linalg.LinAlgError as exc:
                 raise GramSingular(
                     "scalar product is not positive definite under "
                     "restriction %r" % self.restriction
                 ) from exc
             # Cholesky can numerically succeed on a singular form (the
             # zero pivot lands on rounding noise); reject those too.
-            pivots = np.abs(np.diag(chol[0]))
+            pivots = np.abs(np.diag(chol))
             if pivots.size and (pivots.min() / pivots.max()) ** 2 < 1e-12:
                 raise GramSingular(
                     "scalar product is numerically singular under "
@@ -129,9 +140,9 @@ class TildeGram:
 
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
-        chol = self._factorize()
-        reduced = scipy.linalg.cho_solve(chol, self.basis.T @ np.asarray(rhs, float))
-        return self.basis @ reduced
+        low = self._factorize()
+        half = np.linalg.solve(low, self.basis.T @ np.asarray(rhs, float))
+        return self.basis @ np.linalg.solve(low.T, half)
 
 
 def assemble_tilde_gram(config, restriction=None, m=None):
@@ -246,8 +257,7 @@ class TOperator:
                 self._spectrum = (np.zeros(reduced.shape[0]), "operator is zero")
             else:
                 p = self.gram.basis
-                values = scipy.linalg.eigh(p.T @ mat @ p, reduced,
-                                           eigvals_only=True)
+                values = pencil_eigenvalues(p.T @ mat @ p, reduced)
                 self._spectrum = (values[::-1], "")
         return self._spectrum
 

@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
+import ms_stability
 from ms_stability.analytic_oracle import lambda1_strip, mode_lambda
 from ms_stability.cli import main
 from ms_stability.config import parse_config
@@ -297,6 +303,74 @@ def test_jobs_must_be_positive(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_unattainable_rtol_fails_fast(tmp_path, capsys):
+    # An rtol below the rounding floor of the true residual used to spin CG
+    # to its iteration cap (tens of seconds at 64^2); it must end at once
+    # with the error line and exit 1.
+    cfg = strip_config(tmp_path, n=64, solver={"rtol": 1e-20})
+    start = time.perf_counter()
+    code = main(["analyze", "--config", cfg])
+    assert time.perf_counter() - start < 10.0
+    assert code == 1
+    assert "error: SolverDiverged" in capsys.readouterr().err
+
+
+# Runs CLI calls in a fresh interpreter and lists the scipy modules loaded
+# after the import and after each call.
+SCIPY_PROBE = textwrap.dedent("""
+    import json, sys
+    from ms_stability.cli import main
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+    steps = [["import", None, scipy_modules()]]
+    for name, argv in json.loads(sys.argv[1]):
+        steps.append([name, main(argv), scipy_modules()])
+    print(json.dumps(steps))
+""")
+
+
+def test_benchmarked_commands_load_no_scipy(tmp_path):
+    # Flat analyze, validate and phase-diagram run on NumPy alone, so a CLI
+    # call does not pay SciPy's import.  Only the curved-mesh row sweep
+    # loads scipy.linalg, and the curved report keeps its lambda_1.
+    flat = strip_config(tmp_path, eigen={"compute_mu": True})
+    lattice = write_config(tmp_path, "lattice.json", {
+        "geometry": {"kind": "strip", "a_values": [0.5, 1.0], "b_values": [1.0, 2.0]},
+        "grid": {"nx": 32, "ny": 32}})
+    curved = write_config(tmp_path, "curved.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                     "curve": {"mode": 1, "amplitude": 0.05}},
+        "grid": {"nx": 32, "ny": 32}, "eigen": {"compute_mu": True}})
+    out = {name: str(tmp_path / name) for name in ("flat", "validate", "phase", "curved")}
+    calls = [
+        ["flat", ["analyze", "--config", flat, "--out", out["flat"]]],
+        ["validate", ["validate", "--config", flat, "--out", out["validate"]]],
+        ["phase", ["phase-diagram", "--config", lattice, "--out", out["phase"],
+                   "--jobs", "2"]],
+        ["curved", ["analyze", "--config", curved, "--out", out["curved"]]],
+    ]
+    package_root = os.path.dirname(os.path.dirname(ms_stability.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [package_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    steps = {name: (code, modules) for name, code, modules in json.loads(proc.stdout)}
+    for name in ("import", "flat", "validate", "phase"):
+        assert steps[name][1] == [], name
+    assert [steps[name][0] for name in ("flat", "validate", "phase")] == [0, 0, 0]
+    assert "scipy.linalg" in steps["curved"][1]
+    assert not any(m.startswith("scipy.sparse") for m in steps["curved"][1])
+    assert steps["curved"][0] == 0
+    # lambda_1 and mu of this curved pair under the SciPy CG, circulant and
+    # eigh route that the NumPy one replaced
+    results = json.loads(pathlib.Path(out["curved"]).read_text())["results"]
+    assert results["lambda1"]["value"] == pytest.approx(0.6246846550358539, rel=1e-12)
+    assert results["mu"]["value"] == pytest.approx(1.6008076906300905, rel=1e-12)
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -361,6 +435,9 @@ def test_missing_config_file(tmp_path, capsys):
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                    "boundary": {"top": {"cos": [[HUGE, 0.1]]}}}},
      "geometry.boundary.top.cos[0]"),
+    # CG would return the zero correction as converged
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "solver": {"rtol": 1.0}}, "solver.rtol"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
         "heights-number-with-sine-keys", "heights-object-with-sine-keys",
@@ -368,7 +445,7 @@ def test_missing_config_file(tmp_path, capsys):
         "eigen-max-iter", "eigen-seed-type", "huge-number",
         "huge-overtone-amplitude", "huge-height", "huge-a-value",
         "huge-b-value", "huge-curve-mode", "huge-flow-mode", "huge-eigen-mode",
-        "huge-overtone-mode"])
+        "huge-overtone-mode", "rtol-one"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import ms_stability as ms
 from ms_stability import analytic_oracle, elliptic
-from ms_stability.errors import CurveEscapesStrip
+from ms_stability.errors import CurveEscapesStrip, SolverDiverged
 
 from conftest import drift_domain, flat_setup
 
@@ -237,7 +237,7 @@ def test_assembly_matches_per_cell_reference(nx, ny, amplitude):
 
 def test_assembly_keeps_no_per_cell_arrays():
     # Peak traced memory of one 128^2 side: 18.7 MB when the assembly held
-    # (cells, 4, 4) gradient arrays and a COO copy, 6.9 MB from the column
+    # (cells, 4, 4) gradient arrays and a COO copy, 4.4 MB from the column
     # factors and the stencil.
     domain = drift_domain()
     curve = ms.sinusoidal_curve(1.0, 128, mode=1, amplitude=0.1)
@@ -339,8 +339,8 @@ def test_iteration_count_does_not_grow_with_the_grid():
 
 @pytest.mark.parametrize("amplitude", (0.0, 0.05))
 def test_preconditioner_runs_once_per_iteration(monkeypatch, amplitude):
-    # Without a dtype, scipy's LinearOperator applies the preconditioner
-    # to a zero vector to infer it: one wasted application per side.
+    # One preconditioner application per CG iteration, none for the
+    # true-residual confirmation.
     calls = [0]
     flat_inverse = elliptic._Component._flat_inverse
 
@@ -400,26 +400,56 @@ def test_preconditioned_cg_on_random_curves(problem):
 
 
 def test_cg_stop_is_confirmed_on_the_true_residual(monkeypatch):
-    # scipy's CG stops on its recurrence residual, which can sit a rounding
-    # error below b - A x; a stop the true residual does not confirm must be
-    # resumed from x, not reported as converged.
+    # CG stops on its recurrence residual, which can sit a rounding error
+    # below b - A x; a stop the true residual does not confirm must be
+    # resumed from x, not reported as converged.  The first CG run is
+    # stopped early, once its recurrence residual has merely shrunk by 10%.
     curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
     domain = ms.StripDomain(1.0, 1.0, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
     comp = elliptic.StripSystem(domain, curve, ms.Grid(32, 32)).upper
     rhs = np.random.default_rng(5).standard_normal(comp.n_unknown)
-    real_cg = scipy.sparse.linalg.cg
-    starts = []
+    real_cg = elliptic._Component._cg
+    runs = []
 
-    def early_stop(A, b, **kwargs):
-        starts.append(kwargs["x0"])
-        if len(starts) == 1:
-            x, _ = real_cg(A, b, **dict(kwargs, maxiter=1))
-            return x, 0
-        return real_cg(A, b, **kwargs)
+    def early_stop(self, x, r, bound, count):
+        if not runs:
+            bound = 0.9 * np.linalg.norm(r)
+        runs.append(x.copy())
+        x, count = real_cg(self, x, r, bound, count)
+        runs.append(x.copy())
+        return x, count
 
-    monkeypatch.setattr(scipy.sparse.linalg, "cg", early_stop)
+    monkeypatch.setattr(elliptic._Component, "_cg", early_stop)
     x, stats = comp.solve(rhs, rtol=1e-10)
-    assert len(starts) == 2 and starts[0] is None and starts[1] is not None
+    assert len(runs) == 4
+    assert not np.any(runs[0]) and np.any(runs[1])
+    np.testing.assert_array_equal(runs[2], runs[1])  # resumed from x
     assert stats.iterations > 1
-    true = np.linalg.norm(rhs - comp.a_uu @ x) / np.linalg.norm(rhs)
+    true = np.linalg.norm(rhs - comp._apply(x)) / np.linalg.norm(rhs)
     assert stats.residual == true <= 1e-10
+
+
+@pytest.mark.parametrize("amplitude", (0.0, 0.3))
+def test_stencil_product_matches_csr_matrix(amplitude):
+    # Implementation check, not an independent one: the solver's stencil
+    # product and a_uu are two readings of the same stencil.  The
+    # independent checks are the patch test and the per-cell assembly.
+    domain = ms.StripDomain(0.8, 1.3, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    curve = ms.sinusoidal_curve(1.3, 24, mode=2, amplitude=amplitude)
+    system = elliptic.StripSystem(domain, curve, ms.Grid(24, 20))
+    v = np.random.default_rng(2).standard_normal(24 * 20)
+    for comp in (system.upper, system.lower):
+        ref = comp.a_uu @ v
+        np.testing.assert_allclose(comp._apply(v), ref, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("amplitude", (0.0, 0.1))
+def test_unattainable_rtol_raises_instead_of_spinning(amplitude):
+    # Rounding puts a floor near 1e-15 under the true residual; an rtol
+    # below it must end in SolverDiverged after a few confirmations, not
+    # run to the iteration cap.
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=amplitude)
+    with pytest.raises(SolverDiverged, match="stalled"):
+        ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32),
+                       rtol=1e-20)

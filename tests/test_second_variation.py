@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 import ms_stability as ms
-from ms_stability import elliptic
+from ms_stability import elliptic, second_variation
 from ms_stability.errors import GramSingular, InvalidRestriction
 
 from conftest import drift_domain, flat_setup
@@ -75,6 +75,40 @@ def test_unrestricted_flat_gram_is_singular():
     gram = ms.assemble_tilde_gram(curve, restriction="none")
     with pytest.raises(GramSingular):
         gram.apply_inverse(np.ones(32))
+
+
+@st.composite
+def spd_pencils(draw):
+    """Symmetric a and positive definite b of size 8-64, cond(b) <= ~1e3."""
+    m = draw(st.integers(8, 64))
+    shift = draw(st.floats(0.01, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x, y = rng.standard_normal((2, m, m))
+    return x + x.T, y @ y.T + shift * m * np.eye(m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spd_pencils())
+def test_pencil_eigenvalues_match_scipy_eigh(pencil):
+    # SciPy's LAPACK sygvd is the independent reference for the NumPy
+    # Cholesky reduction.
+    a, b = pencil
+    ref = scipy.linalg.eigh(a, b, eigvals_only=True)
+    got = second_variation.pencil_eigenvalues(a, b)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
+
+def test_spectrum_rejects_a_singular_restricted_gram():
+    # Constants span the kernel of the unrestricted flat-curve Gram, and
+    # large endpoint curvatures make the segment form indefinite: the
+    # pencil route and the inverse must raise GramSingular, not numbers.
+    _, curve, _, state, _ = flat_setup(n=32)
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve, restriction="none"))
+    with pytest.raises(GramSingular, match="numerically singular"):
+        op.spectrum()
+    segment = ms.assemble_tilde_gram(ms.SegmentConfig(1.0, 50.0, 50.0))
+    with pytest.raises(GramSingular, match="not positive definite"):
+        segment.apply_inverse(np.ones(segment.size))
 
 
 def test_segment_endpoint_restriction_drops_both_ends():
