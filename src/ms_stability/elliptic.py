@@ -13,10 +13,13 @@ quadratic form to rounding.
 The interpolated mesh makes each cell's Jacobian affine in the row: in
 cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
 per column, and y_xi = (psi_i+1 - psi_i) t with t = 1 - (j + eta)/ny.
-So every element matrix is a quadratic in t with per-column coefficients;
-one matrix product gives all rows, and slice-adds accumulate them into a
-9-point node stencil.  The solver applies the stiffness straight from
-that stencil; a CSR copy is built only when a caller asks for a_uu.
+So every element matrix is a quadratic in t with per-column coefficients.
+Node row j collects corners from cell rows j and j - 1, so summing the
+per-column coefficients per stencil entry first leaves one matrix product
+over the rows, which yields the 9-point node stencil and the drift load
+directly, without a per-cell array.  The solver applies the stiffness
+straight from that stencil; a CSR copy is built only when a caller asks
+for a_uu.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
 so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
@@ -36,7 +39,6 @@ symmetric inverse and the CSR matrix a_uu.
 """
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +59,16 @@ _DN_DXI = np.stack(
 _DN_DETA = np.stack(
     [-(1.0 - _GAUSS_XI), -_GAUSS_XI, (1.0 - _GAUSS_XI), _GAUSS_XI], axis=1
 )
-# The same corners as (column, row) offsets, and all corner pairs (a, b).
-_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
+# The same corners as column and row offsets, and all corner pairs (a, b).
+_IA, _JA = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
 _PA, _PB = np.indices((4, 4)).reshape(2, 16)
+# The 16 element-matrix entries (_PA, _PB), then the 4 corner drift loads,
+# land at the node of corner a (column ia, row ja) of the cell, in slot
+# _ENTRY_DEST: stencil entry 3 (dj + 1) + di + 1, or 9 for the drift load.
+_ENTRY_IA = np.concatenate([_IA[_PA], _IA])
+_ENTRY_JA = np.concatenate([_JA[_PA], _JA])
+_ENTRY_DEST = np.concatenate(
+    [3 * (_JA[_PB] - _JA[_PA] + 1) + _IA[_PB] - _IA[_PA] + 1, np.full(4, 9)])
 
 DEFAULT_RTOL = 1e-10
 MAXITER_FACTOR = 50
@@ -111,8 +120,9 @@ class _Component:
     the trailing nx are the Dirichlet nodes.  The stiffness is held as
     the 9-point stencil of the unknown rows, _stencil[j, dj + 1, di + 1, i]
     coupling node (j, i) to node (j + dj, i + di mod nx).  Its storage is
-    ordered (dj, di, row, column) with a zero ghost column on each side,
-    the layout _apply reads as nine contiguous coefficient rows.
+    the product that assembles it: ordered (dj, di, row, column) with a
+    zero ghost column on each side, the layout _apply reads as nine
+    contiguous coefficient rows, and a tenth slab holding the drift load.
     """
 
     def __init__(self, domain, curve, grid, side):
@@ -144,33 +154,37 @@ class _Component:
         coef[:, 2, :16] = w * q[:, _PA] * q[:, _PB]
         coef[:, 0, 16:] = w * p
         coef[:, 1, 16:] = -w * q
-        # Gauss points 0, 1 share eta = _GP[0], and 2, 3 share _GP[1].
-        coef = coef.reshape(2, 2, -1).sum(axis=1).reshape(6, -1)
-        t = 1.0 - (np.arange(ny)[:, None] + np.array(_GP)) / ny  # (row, eta)
-        cells = ((t[:, :, None] ** np.arange(3)).reshape(ny, 6) @ coef
-                 ).reshape(ny, 20, nx)
+        # Gauss points 0, 1 share eta = _GP[0], and 2, 3 share _GP[1]; the
+        # factor rows are then (eta, k).
+        coef = coef.reshape(2, 2, -1).sum(axis=1).reshape(6, 20, nx)
 
-        # Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia); column
-        # nx is folded back onto column 0 and then cleared, which leaves
-        # it as the right ghost column of the storage.
-        storage = np.zeros((3, 3, ny + 1, nx + 2))
-        stencil = storage.transpose(2, 0, 1, 3)[..., 1:]  # (j, dj, di, i)
-        drift = np.zeros((ny + 1, nx + 1))
-        for e, ((ia, ja), (ib, jb)) in enumerate(itertools.product(_CORNERS, _CORNERS)):
-            stencil[ja:ja + ny, jb - ja + 1, ib - ia + 1, ia:ia + nx] += cells[:, e]
-        for e, (ia, ja) in enumerate(_CORNERS):
-            drift[ja:ja + ny, ia:ia + nx] += cells[:, 16 + e]
-        stencil[..., 0] += stencil[..., nx]
-        stencil[..., nx] = 0.0
-        drift[:, 0] += drift[:, nx]
+        # Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia), so node
+        # (j, i) takes the ja = 0 corners of cell row j and the ja = 1
+        # corners of cell row j - 1, each from cell column i - ia.  Rolling
+        # the ia = 1 factors by one column and summing per destination
+        # gives block[dest, ja, (eta, k), column], with a zero ghost column
+        # on each side.
+        right = _ENTRY_IA == 1
+        coef[:, right] = np.roll(coef[:, right], 1, axis=-1)
+        block = np.zeros((10, 2, 6, nx + 2))
+        np.add.at(block[..., 1:-1], (_ENTRY_DEST, _ENTRY_JA), coef.transpose(1, 0, 2))
+        # powers[j, ja]: the t^k factors of cell row j - ja.  The curve row
+        # has no cell row below it, so its ja = 1 factors stay zero.
+        t = 1.0 - (np.arange(ny)[:, None] + np.array(_GP)) / ny  # (row, eta)
+        powers = np.zeros((ny, 2, 6))
+        powers[:, 0] = (t[:, :, None] ** np.arange(3)).reshape(ny, 6)
+        powers[1:, 1] = powers[:-1, 0]
+        # (dest, row, padded column): the stencil storage and the drift load.
+        storage = np.matmul(powers.reshape(ny, 12), block.reshape(10, 12, nx + 2))
 
         self.side = side
         self.nx = nx
         self.ny = ny
         self.n_unknown = nx * ny
-        self._stencil = stencil[:ny, ..., :nx]
-        self._coef = storage[:, :, :ny].reshape(9, -1)  # (3 dj + di, padded node)
-        self.drift_load = drift[:ny, :nx].ravel()
+        self._coef = storage[:9].reshape(9, -1)  # (3 dj + di, padded node)
+        self._stencil = (storage[:9].reshape(3, 3, ny, nx + 2)
+                         .transpose(2, 0, 1, 3)[..., 1:-1])  # (j, dj, di, i)
+        self.drift_load = storage[9, :, 1:-1].ravel()
         self._weight = weight
         self._inv_y_eta = 1.0 / y_eta
         self._shear = shear
@@ -194,7 +208,7 @@ class _Component:
         k_y = (2.0 - 2.0 * np.cos(theta_y)) / hy
         m_y = hy * (4.0 + 2.0 * np.cos(theta_y)) / 6.0
         lam = m_y[:, None] * k_x[None, :] + k_y[:, None] * m_x[None, :]
-        self._cos_y = np.cos(np.outer(np.arange(ny), theta_y))  # (j, k)
+        self._cos_y = _cosine_basis(ny)  # (j, k)
         self._inv_eig = (2.0 / ny) / lam  # (ny, nx//2 + 1)
         self._flat = bool(np.all(psi == psi[0]))
 
@@ -365,6 +379,17 @@ class _Component:
             uy = ue * self._inv_y_eta[g]
             total += np.sum(ux * ux + uy * uy, axis=0) @ self._weight[g]
         return float(total)
+
+
+@functools.lru_cache(maxsize=8)
+def _cosine_basis(ny):
+    """cos((k + 1/2) pi j / ny) at (row j, mode k), the flat-strip
+    eigenvectors across the rows.  Every side with ny rows shares this one
+    read-only copy."""
+    theta_y = (np.arange(ny) + 0.5) * np.pi / ny
+    basis = np.cos(np.outer(np.arange(ny), theta_y))
+    basis.flags.writeable = False
+    return basis
 
 
 def _stencil_csr(stencil):

@@ -171,17 +171,25 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
                               criticality_tol=DEFAULT_CRITICALITY_TOL):
     """Cross-validate the assembled d2F[psi] against energy differences.
 
-    Flows the curve by psi at times {0, +-step, +-2 step}, re-solves the
-    state at each nonzero time (t = 0 reuses the base solve),
-    Richardson-extrapolates g'(0) and g''(0), and compares with the
-    assembled quadratic form.  The first derivative must vanish relative
-    to the base energy for a critical pair; a large transmission residual
+    Solves the state on the base curve and takes from it the
+    transmission residuals, the base energy and the assembled quadratic
+    form (one transport solve), then drops it.  Only then does it flow
+    the curve by psi at times {0, +-step, +-2 step} and re-solve the
+    state at each nonzero time (t = 0 reuses the base energy), so at most
+    one assembled StripSystem is alive at a time.  Finally it
+    Richardson-extrapolates g'(0) and g''(0) and compares g''(0) with
+    the assembled form.  The first derivative must vanish relative to
+    the base energy for a critical pair; a large transmission residual
     is flagged (non_critical) but does not fail the report on its own.
     """
     psi = np.asarray(psi, dtype=float)
     state, _ = elliptic.solve_state(domain, curve, grid, rtol=rtol)
     crit = criticality_residuals(state)
     base = elliptic.dirichlet_energy(state) + geometry.curve_length(curve)
+    gram = second_variation.assemble_tilde_gram(curve, restriction="none")
+    assembled = second_variation.second_variation_value(state, gram, psi,
+                                                        rtol=rtol)
+    del state  # frees the base system before the flow builds its own
     flow = geometry.FlowSpec(
         direction=psi,
         half_height=domain.half_height,
@@ -190,9 +198,6 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol,
                                energy_at_zero=base)
     fd = fd_derivatives(ts, gs)
-    gram = second_variation.assemble_tilde_gram(curve, restriction="none")
-    assembled = second_variation.second_variation_value(state, gram, psi,
-                                                        rtol=rtol)
     mismatch = abs(fd.second - assembled.value) / max(1.0, abs(assembled.value))
     return ValidationReport(
         criticality=crit,

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -156,6 +157,27 @@ def test_validate_solves_the_base_curve_once(monkeypatch):
     assert report.gs[report.ts == 0.0].tolist() == [report.base_energy]
     total, _ = ms.total_energy(domain, curve, ms.Grid(32, 32))
     assert total == report.base_energy
+
+
+def test_validate_keeps_one_strip_system_alive(monkeypatch):
+    # The base state is used up before the flow starts, and each flowed
+    # state is dropped before the next is built: whenever a StripSystem is
+    # built, every earlier one has already been collected.
+    built = []
+    init = elliptic.StripSystem.__init__
+
+    def recording_init(self, *args, **kwargs):
+        alive = [k for k, ref in enumerate(built) if ref() is not None]
+        assert alive == [], "systems %r still alive at system %d" % (alive, len(built))
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic.StripSystem, "__init__", recording_init)
+    domain = drift_domain(1.0, 1.0)
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05)
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    ms.validate_second_variation(domain, curve, ms.Grid(32, 32), psi)
+    assert len(built) == 5
 
 
 def test_validate_flags_non_critical_configuration():
