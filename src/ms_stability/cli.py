@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -218,22 +217,19 @@ def _phase_point(cfg, a, b):
             validation.criticality_residuals(state).sup_residual)
 
 
-def _run_phase_diagram(cfg, jobs):
+def _run_phase_diagram(cfg):
+    """CSV of the lattice, one point after another on the calling thread.
+
+    Each point is a small flat problem (a few ms at 64^2), so a worker
+    pool costs more than it overlaps; --jobs is accepted and ignored.
+    """
     _require_strip(cfg, "phase-diagram")
     geom = cfg.geometry
     if geom.a_values is None or geom.b_values is None:
         raise ConfigInvalid(
             "phase-diagram needs geometry.a_values and geometry.b_values")
-    points = [(a, b) for a in geom.a_values for b in geom.b_values]
-
-    def worker(point):
-        return _phase_point(cfg, *point)
-
-    if jobs > 1 and points:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, points))
-    else:
-        rows = [worker(p) for p in points]
+    rows = [_phase_point(cfg, a, b)
+            for a in geom.a_values for b in geom.b_values]
 
     lines = [CSV_HEADER]
     for a, b, lam, lam_an, verdict, nx, ny, residual in rows:
@@ -471,7 +467,8 @@ def _build_parser():
                          choices=second_variation.RESTRICTIONS,
                          help="override eigen.restriction")
         cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker threads (phase-diagram only)")
+                         help="accepted and checked (N >= 1) but ignored: "
+                              "every command runs serially")
     return parser
 
 
@@ -480,14 +477,14 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
-        if args.jobs < 1:
+        if args.jobs < 1:  # --jobs has no effect, but stays validated
             raise ConfigInvalid("--jobs must be >= 1")
 
         if args.command == "analyze":
             report, code = _run_analyze(cfg)
             _emit(_json_text(report), cfg.out_path)
         elif args.command == "phase-diagram":
-            csv_text, code = _run_phase_diagram(cfg, args.jobs)
+            csv_text, code = _run_phase_diagram(cfg)
             _emit(csv_text, cfg.out_path)
         elif args.command == "validate":
             report, code = _run_validate(cfg)

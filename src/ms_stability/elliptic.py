@@ -167,7 +167,8 @@ class _Component:
         right = _ENTRY_IA == 1
         coef[:, right] = np.roll(coef[:, right], 1, axis=-1)
         block = np.zeros((10, 2, 6, nx + 2))
-        np.add.at(block[..., 1:-1], (_ENTRY_DEST, _ENTRY_JA), coef.transpose(1, 0, 2))
+        for dest, ja, values in zip(_ENTRY_DEST, _ENTRY_JA, coef.transpose(1, 0, 2)):
+            block[dest, ja, :, 1:-1] += values
         # powers[j, ja]: the t^k factors of cell row j - ja.  The curve row
         # has no cell row below it, so its ja = 1 factors stay zero.
         t = 1.0 - (np.arange(ny)[:, None] + np.array(_GP)) / ny  # (row, eta)
@@ -358,9 +359,11 @@ class _Component:
 
     def wall_coupling(self, wall):
         """a_ud @ wall: row ny - 1 meets the wall through its dj = +1 entries."""
+        nx = self.nx
+        ghost = np.concatenate([wall[-1:], wall, wall[:1]])  # wall[i - 1 + k]
         out = np.zeros(self.n_unknown)
-        out[-self.nx:] = sum(c * np.roll(wall, 1 - k)
-                             for k, c in enumerate(self._stencil[-1, 2]))
+        out[-nx:] = sum(c * ghost[k:k + nx]
+                        for k, c in enumerate(self._stencil[-1, 2]))
         return out
 
     def energy(self, w_nodal, slope):
@@ -549,18 +552,19 @@ class JumpCoupling:
 
     def _side_matrix(self, state, side, j_e, hx, orientation):
         slope, w = state._pick(side)
-        tr = w[0]
-        u_xi = slope + (np.roll(tr, -1) - tr) / hx
+        u_xi = slope + geometry.periodic_difference(w[0]) / hx
         coef = orientation * u_xi / j_e  # one value per element i -> i+1
+        half = coef / 2.0
         nx = self.nx
         ip = (np.arange(nx) + 1) % nx
         i = np.arange(nx)
         c = np.zeros((nx, nx))
-        # z-pattern (delta_{i+1} - delta_i), phi-pattern (delta_i + delta_{i+1})/2
-        np.add.at(c, (ip, i), coef / 2.0)
-        np.add.at(c, (ip, ip), coef / 2.0)
-        np.add.at(c, (i, i), -coef / 2.0)
-        np.add.at(c, (i, ip), -coef / 2.0)
+        # z-pattern (delta_{i+1} - delta_i), phi-pattern (delta_i + delta_{i+1})/2;
+        # each line's (row, column) pairs are distinct, as += requires
+        c[ip, i] += half
+        c[ip, ip] += half
+        c[i, i] -= half
+        c[i, ip] -= half
         return c
 
     def loads(self, phi):

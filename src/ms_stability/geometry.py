@@ -12,6 +12,7 @@ its apex.
 """
 
 from dataclasses import dataclass, field
+import functools
 import numbers
 
 import numpy as np
@@ -120,6 +121,15 @@ class GraphCurve:
     def abscissae(self):
         return np.arange(self.m) * self.spacing
 
+    @functools.cached_property
+    def derivatives(self):
+        """Read-only (psi', psi'') samples from periodic_derivatives,
+        computed on first use and shared by every later reader."""
+        d1, d2 = periodic_derivatives(self.heights, self.spacing)
+        d1.setflags(write=False)
+        d2.setflags(write=False)
+        return d1, d2
+
     def max_height(self):
         return float(np.max(np.abs(self.heights)))
 
@@ -196,10 +206,9 @@ def periodic_derivatives(values, spacing):
       f'' = (-f[i+2] + 16 f[i+1] - 30 f[i] + 16 f[i-1] - f[i-2]) / (12 h^2)
     """
     f = np.asarray(values, dtype=float)
-    fp1 = np.roll(f, -1)
-    fp2 = np.roll(f, -2)
-    fm1 = np.roll(f, 1)
-    fm2 = np.roll(f, 2)
+    # two periodic ghosts at each end turn every shift into a slice
+    g = np.concatenate([f[-2:], f, f[:2]])
+    fm2, fm1, fp1, fp2 = g[:-4], g[1:-3], g[3:-1], g[4:]
     d1 = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * spacing)
     d2 = (-fp2 + 16.0 * fp1 - 30.0 * f + 16.0 * fm1 - fm2) / (12.0 * spacing ** 2)
     return d1, d2
@@ -211,27 +220,35 @@ def curvature(curve):
     Uses the upward-normal sign convention of the module docstring: a
     concave bump dipping into the lower half gives H < 0 at the apex.
     """
-    d1, d2 = periodic_derivatives(curve.heights, curve.spacing)
+    d1, d2 = curve.derivatives
     return d2 / np.power(1.0 + d1 * d1, 1.5)
 
 
 def slope_samples(curve):
     """Nodal slope samples psi'_i by the fourth-order periodic stencil."""
-    d1, _ = periodic_derivatives(curve.heights, curve.spacing)
-    return d1
+    return curve.derivatives[0]
+
+
+def periodic_difference(values):
+    """Forward differences values[i + 1] - values[i], index i + 1 mod m."""
+    diff = np.empty_like(values)
+    np.subtract(values[1:], values[:-1], out=diff[:-1])
+    diff[-1] = values[0] - values[-1]
+    return diff
 
 
 def element_lengths(curve):
     """Arclengths of the m piecewise-linear elements (node i to i+1)."""
-    h = curve.spacing
-    dpsi = np.roll(curve.heights, -1) - curve.heights
-    return np.hypot(h, dpsi)
+    return np.hypot(curve.spacing, periodic_difference(curve.heights))
 
 
 def nodal_arclengths(curve):
     """Trapezoid arclength weight of each node (half of both elements)."""
     ell = element_lengths(curve)
-    return 0.5 * (ell + np.roll(ell, 1))
+    both = np.empty_like(ell)  # ell[i] + ell[i - 1]
+    np.add(ell[1:], ell[:-1], out=both[1:])
+    both[0] = ell[0] + ell[-1]
+    return 0.5 * both
 
 
 def curve_length(curve):

@@ -42,11 +42,17 @@ RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
 def pencil_eigenvalues(a, b):
     """Eigenvalues, ascending, of the symmetric-definite pencil (a, b).
 
-    The Cholesky factor b = L L^T reduces a x = lam b x to the standard
-    symmetric problem L^-1 a L^-T y = lam y, as LAPACK's sygv does.
     Raises numpy.linalg.LinAlgError when b is not positive definite.
     """
-    low = np.linalg.cholesky(b)
+    return factored_pencil_eigenvalues(a, np.linalg.cholesky(b))
+
+
+def factored_pencil_eigenvalues(a, low):
+    """Eigenvalues, ascending, of the pencil (a, L L^T) given L.
+
+    The Cholesky factor reduces a x = lam L L^T x to the standard
+    symmetric problem L^-1 a L^-T y = lam y, as LAPACK's sygv does.
+    """
     half = np.linalg.solve(low, a)
     return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
 
@@ -79,8 +85,8 @@ class TildeGram:
     """Curve scalar product matrix with an optional subspace restriction.
 
     matrix is the full m x m form; basis holds orthonormal columns
-    spanning the restricted subspace, and the reduced matrix is factored
-    lazily on first inverse application (raising GramSingular if the
+    spanning the restricted subspace, and the reduced matrix P^T G P is
+    Cholesky-factored lazily on first use (raising GramSingular if the
     form fails to be positive definite there).
     """
 
@@ -89,7 +95,6 @@ class TildeGram:
     weights: np.ndarray
     restriction: str
     basis: np.ndarray
-    _reduced: np.ndarray = field(default=None, repr=False)
     _chol: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -112,11 +117,13 @@ class TildeGram:
         """Euclidean projection onto the restriction subspace."""
         return self.basis @ (self.basis.T @ np.asarray(vec, dtype=float))
 
-    def _factorize(self):
+    def cholesky(self):
+        """Lower Cholesky factor of P^T G P, computed once; raises
+        GramSingular."""
         if self._chol is None:
-            self._reduced = self.basis.T @ self.matrix @ self.basis
+            reduced = self.basis.T @ self.matrix @ self.basis
             try:
-                chol = np.linalg.cholesky(self._reduced)
+                chol = np.linalg.cholesky(reduced)
             except np.linalg.LinAlgError as exc:
                 raise GramSingular(
                     "scalar product is not positive definite under "
@@ -133,14 +140,9 @@ class TildeGram:
             self._chol = chol
         return self._chol
 
-    def reduced_matrix(self):
-        """P^T G P on the restriction basis; raises GramSingular."""
-        self._factorize()
-        return self._reduced
-
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
-        low = self._factorize()
+        low = self.cholesky()
         half = np.linalg.solve(low, self.basis.T @ np.asarray(rhs, float))
         return self.basis @ np.linalg.solve(low.T, half)
 
@@ -164,10 +166,12 @@ def assemble_tilde_gram(config, restriction=None, m=None):
         mat = np.zeros((mm, mm))
         i = np.arange(mm)
         ip = (i + 1) % mm
-        np.add.at(mat, (i, i), 1.0 / ell)
-        np.add.at(mat, (ip, ip), 1.0 / ell)
-        np.add.at(mat, (i, ip), -1.0 / ell)
-        np.add.at(mat, (ip, i), -1.0 / ell)
+        inv_ell = 1.0 / ell
+        # each line's (row, column) pairs are distinct, as += requires
+        mat[i, i] += inv_ell
+        mat[ip, ip] += inv_ell
+        mat[i, ip] -= inv_ell
+        mat[ip, i] -= inv_ell
         h_curv = geometry.curvature(curve)
         mat[i, i] += h_curv * h_curv * weights
         basis = _restriction_basis("strip", restriction, weights)
@@ -251,13 +255,13 @@ class TOperator:
         raises GramSingular if the restricted Gram is not definite.
         """
         if self._spectrum is None:
-            reduced = self.gram.reduced_matrix()
+            low = self.gram.cholesky()
             mat = self.dual_matrix
             if not np.any(mat):
-                self._spectrum = (np.zeros(reduced.shape[0]), "operator is zero")
+                self._spectrum = (np.zeros(low.shape[0]), "operator is zero")
             else:
                 p = self.gram.basis
-                values = pencil_eigenvalues(p.T @ mat @ p, reduced)
+                values = factored_pencil_eigenvalues(p.T @ mat @ p, low)
                 self._spectrum = (values[::-1], "")
         return self._spectrum
 

@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import pytest
 
 import ms_stability
+from ms_stability import cli
 from ms_stability.analytic_oracle import lambda1_strip, mode_lambda
 from ms_stability.cli import main
 from ms_stability.config import parse_config
@@ -131,6 +133,32 @@ def test_phase_diagram_schema_and_determinism(tmp_path, capsys):
         assert float(row[2]) == pytest.approx(float(row[3]), rel=0.02)
         assert float(row[7]) < 1e-10
         assert row[5] == row[6] == "32"
+
+
+def test_phase_diagram_runs_every_point_on_the_calling_thread(
+        tmp_path, capsys, monkeypatch):
+    # --jobs is accepted but ignored: each point runs in order on the
+    # thread that called main, and the CSV bytes do not depend on N.
+    cfg = write_config(tmp_path, "lattice.json", {
+        "geometry": {"kind": "strip", "a_values": [0.5, 1.0],
+                     "b_values": [1.0, 2.0]},
+        "grid": {"nx": 16, "ny": 16}})
+    threads = []
+    point = cli._phase_point
+
+    def recording_point(*args):
+        threads.append(threading.get_ident())
+        return point(*args)
+
+    monkeypatch.setattr(cli, "_phase_point", recording_point)
+    outputs = []
+    for jobs in ("1", "2", "5"):
+        out = tmp_path / ("jobs%s.csv" % jobs)
+        assert main(["phase-diagram", "--config", cfg, "--out", str(out),
+                     "--jobs", jobs]) == 0
+        outputs.append(out.read_bytes())
+    assert threads == [threading.get_ident()] * 12
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_phase_diagram_empty_lattice(tmp_path, capsys):
@@ -315,14 +343,15 @@ def test_unattainable_rtol_fails_fast(tmp_path, capsys):
     assert "error: SolverDiverged" in capsys.readouterr().err
 
 
-# Runs CLI calls in a fresh interpreter and lists the scipy modules loaded
-# after the import and after each call.
+# Runs CLI calls in a fresh interpreter and lists the scipy and
+# concurrent.futures modules loaded after the import and after each call.
 SCIPY_PROBE = textwrap.dedent("""
     import json, sys
     from ms_stability.cli import main
 
     def scipy_modules():
-        return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        return sorted(m for m in sys.modules
+                      if m.split(".")[0] == "scipy" or m == "concurrent.futures")
 
     steps = [["import", None, scipy_modules()]]
     for name, argv in json.loads(sys.argv[1]):
@@ -334,7 +363,10 @@ SCIPY_PROBE = textwrap.dedent("""
 def test_benchmarked_commands_load_no_scipy(tmp_path):
     # Flat analyze, validate and phase-diagram run on NumPy alone, so a CLI
     # call does not pay SciPy's import.  Only the curved-mesh row sweep
-    # loads scipy.linalg, and the curved report keeps its lambda_1.
+    # loads scipy.linalg, and the curved report keeps its lambda_1.  The
+    # import and the flat calls, phase-diagram --jobs 2 included, do not
+    # load concurrent.futures either; the curved call does, through
+    # scipy._lib._util.
     flat = strip_config(tmp_path, eigen={"compute_mu": True})
     lattice = write_config(tmp_path, "lattice.json", {
         "geometry": {"kind": "strip", "a_values": [0.5, 1.0], "b_values": [1.0, 2.0]},

@@ -130,6 +130,11 @@ def test_graph_curve_validation():
     curve = ms.flat_curve(1.0, 16)
     with pytest.raises(ValueError):
         curve.heights[0] = 1.0  # read-only samples
+    # the cached derivative samples are shared, so they are read-only too
+    assert curve.derivatives is curve.derivatives
+    for samples in curve.derivatives:
+        with pytest.raises(ValueError):
+            samples[0] = 1.0
 
 
 def test_require_inside_strictness():

@@ -204,6 +204,45 @@ def test_leading_pair_is_degenerate_then_drops_to_next_mode():
     assert values[0] > values[2]
 
 
+def test_one_operator_factors_its_restricted_gram_once(monkeypatch):
+    # lambda1, mu and the leading eigenvalues share one eigensolve, whose
+    # pencil reuses the Cholesky factor the Gram already holds.
+    op = make_operator(1.0, 1.0, 32)
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(mat):
+        factored.append(mat.shape)
+        return cholesky(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    ms.lambda1(op)
+    ms.mu(op)
+    ms.leading_eigenvalues(op, 3)
+    assert factored == [(31, 31)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       st.floats(0.01, 0.1), st.integers(1, 23))
+def test_curved_lambda1_is_invariant_under_a_cell_shift(weights, amplitude, shift):
+    # A periodic shift of the curve samples by whole cells moves the
+    # problem along the period; the drift walls change by constants only,
+    # which T does not see.  The curved route (row sweep, sliced shifts,
+    # coupling) must give the same lambda_1 to rounding.
+    a, b, n = 0.7, 1.3, 24
+    x = np.arange(n) * (b / n)
+    heights = sum(w * np.sin(2.0 * np.pi * k * x / b)
+                  for k, w in enumerate(weights, start=1))
+    heights *= amplitude / max(np.max(np.abs(heights)), 1e-3)
+    values = []
+    for samples in (heights, np.roll(heights, shift)):
+        curve = ms.GraphCurve(b, samples)
+        state, _ = ms.solve_state(drift_domain(a, b), curve, ms.Grid(n, n))
+        values.append(ms.lambda1(ms.TOperator(state, ms.assemble_tilde_gram(curve)))[0])
+    assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0)
+
+
 def test_dense_eigensolves_confirm_iterative_values():
     # Assemble the full discrete operators on a small grid and compare
     # lambda1 and mu, both taken from the curve-space reduction, against

@@ -58,7 +58,8 @@ def test_tracer_records_one_span_per_lattice_point(tmp_path, capsys, jobs):
     tracer = spans.Tracer("test")
     spans.install(tracer)
     try:
-        # the root span parents the spans of the --jobs pool threads
+        # a root span, as perfbench/child.py opens one; --jobs is ignored,
+        # so under either value the point spans open on this thread
         with tracer.span("cli.main"):
             code = cli.main(["phase-diagram", "--config", str(cfg),
                              "--jobs", jobs])
