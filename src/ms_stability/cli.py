@@ -1,7 +1,7 @@
 """Command-line interface for strip/segment stability analysis.
 
-Subcommands
------------
+Commands
+--------
 analyze       solve one configuration and report the stability verdict
 phase-diagram sweep an (a, b) lattice and emit a deterministic CSV
 validate      finite-difference cross-check of the assembled form
@@ -36,6 +36,7 @@ VERDICT_EXIT = {
     "unstable": EXIT_UNSTABLE,
     "marginal": EXIT_MARGINAL,
 }
+COMMANDS = ("analyze", "phase-diagram", "validate", "compare", "oracle")
 CSV_HEADER = "a,b,lambda1_numeric,lambda1_analytic,verdict,grid_nx,grid_ny,residual"
 
 
@@ -55,11 +56,15 @@ def _num(value, provenance):
 
 
 def _emit(text, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigInvalid("cannot write output file %s: %s"
+                            % (out_path, exc.strerror or exc)) from exc
 
 
 def _json_text(report):
@@ -447,28 +452,24 @@ def _build_parser():
         prog="ms-stability",
         description="Stability of critical strip/segment configurations of "
                     "the homogeneous planar free-discontinuity energy.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "analyze": "stability verdict for one configuration",
-        "phase-diagram": "CSV sweep over an (a, b) lattice",
-        "validate": "finite-difference check of the assembled form",
-        "compare": "numeric solver versus closed-form references",
-        "oracle": "closed-form values only",
-    }
-    for name in ("analyze", "phase-diagram", "validate", "compare", "oracle"):
-        cmd = sub.add_parser(name, help=help_text[name])
-        cmd.add_argument("--config", required=True, metavar="PATH",
-                         help="JSON configuration file")
-        cmd.add_argument("--out", default=None, metavar="PATH",
-                         help="write the report here instead of stdout")
-        cmd.add_argument("--grid", default=None, metavar="NX,NY",
-                         help="override grid.nx and grid.ny")
-        cmd.add_argument("--restriction", default=None,
-                         choices=second_variation.RESTRICTIONS,
-                         help="override eigen.restriction")
-        cmd.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="accepted and checked (N >= 1) but ignored: "
-                              "every command runs serially")
+    parser.add_argument("command", choices=COMMANDS,
+                        help="analyze: stability verdict; phase-diagram: CSV "
+                             "over an (a, b) lattice; validate: finite-"
+                             "difference check of the assembled form; "
+                             "compare: solver against closed forms; oracle: "
+                             "closed-form values only")
+    parser.add_argument("--config", required=True, metavar="PATH",
+                        help="JSON configuration file")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="write the report here instead of stdout")
+    parser.add_argument("--grid", default=None, metavar="NX,NY",
+                        help="override grid.nx and grid.ny")
+    parser.add_argument("--restriction", default=None,
+                        choices=second_variation.RESTRICTIONS,
+                        help="override eigen.restriction")
+    parser.add_argument("--jobs", type=int, default=1, metavar="N",
+                        help="accepted and checked (N >= 1) but ignored: "
+                             "every command runs serially")
     return parser
 
 

@@ -2,10 +2,10 @@
 
 A run is described by the sections geometry / grid / solver / eigen /
 validate / output; unknown keys anywhere are rejected with the full key
-path so typos cannot silently fall back to defaults.  Boundary data and
-flow directions are given symbolically (slope, constant, sine/cosine
-overtones) so that configurations stay serializable and runs stay
-reproducible.
+path, and a key given twice in one object is rejected, so typos cannot
+silently fall back to defaults.  Boundary data and flow directions are
+given symbolically (slope, constant, sine/cosine overtones) so that
+configurations stay serializable and runs stay reproducible.
 """
 
 import json
@@ -42,41 +42,48 @@ def _section(obj, key, path, allowed):
     return sub
 
 
-def _float(val):
-    """float(val), reading an integer beyond the float range as infinite."""
+def _scalar(val, where, integer=False, positive=False, minimum=None):
+    """val as a float (as an int when integer), or ConfigInvalid naming where.
+
+    The one test of a config value's number type: a bool is not a number,
+    and an integer beyond the float range counts as infinite.
+    """
+    if isinstance(val, bool) or not isinstance(val, int if integer else (int, float)):
+        raise ConfigInvalid("%s must be %s"
+                            % (where, "an integer" if integer else "a number"))
     try:
-        return float(val)
+        as_float = float(val)
     except OverflowError:
-        return math.inf if val > 0 else -math.inf
+        as_float = math.inf
+    if not math.isfinite(as_float):
+        raise ConfigInvalid("%s %s" % (where, "is too large" if integer
+                                       else "must be finite"))
+    if positive and val <= 0:
+        raise ConfigInvalid("%s must be positive" % where)
+    if minimum is not None and val < minimum:
+        raise ConfigInvalid("%s must be >= %d" % (where, minimum))
+    return val if integer else as_float
 
 
-def _number(obj, key, path, default=None, required=False, positive=False):
-    if key not in obj or obj[key] is None:
+def _scalars(raw, where, **checks):
+    """A JSON list of numbers as a tuple, each element checked by _scalar."""
+    if not isinstance(raw, list):
+        raise ConfigInvalid("%s must be a list" % where)
+    return tuple(_scalar(v, "%s[%d]" % (where, k), **checks)
+                 for k, v in enumerate(raw))
+
+
+def _number(obj, key, path, default=None, required=False, **checks):
+    """obj[key] checked by _scalar; default when absent or null."""
+    if obj.get(key) is None:
         if required:
             raise ConfigInvalid("missing required key %s.%s" % (path, key))
         return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigInvalid("%s.%s must be a number" % (path, key))
-    val = _float(val)
-    if not math.isfinite(val):
-        raise ConfigInvalid("%s.%s must be finite" % (path, key))
-    if positive and val <= 0:
-        raise ConfigInvalid("%s.%s must be positive" % (path, key))
-    return val
+    return _scalar(obj[key], "%s.%s" % (path, key), **checks)
 
 
 def _integer(obj, key, path, default=None, minimum=None):
-    if key not in obj or obj[key] is None:
-        return default
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigInvalid("%s.%s must be an integer" % (path, key))
-    if not math.isfinite(_float(val)):
-        raise ConfigInvalid("%s.%s is too large" % (path, key))
-    if minimum is not None and val < minimum:
-        raise ConfigInvalid("%s.%s must be >= %d" % (path, key, minimum))
-    return val
+    return _number(obj, key, path, default, integer=True, minimum=minimum)
 
 
 @dataclass(frozen=True)
@@ -106,23 +113,19 @@ class BoundarySpec:
 
 
 def _parse_overtones(obj, key, path):
-    raw = obj.get(key, [])
+    raw = obj.get(key)
     if raw is None:
         return ()
+    where = "%s.%s" % (path, key)
     if not isinstance(raw, list):
-        raise ConfigInvalid("%s.%s must be a list of [mode, amplitude]" % (path, key))
+        raise ConfigInvalid("%s must be a list of [mode, amplitude]" % where)
     out = []
     for k, item in enumerate(raw):
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or isinstance(item[0], bool) or not isinstance(item[0], int)
-                or item[0] < 1 or not math.isfinite(_float(item[0]))
-                or isinstance(item[1], bool)
-                or not isinstance(item[1], (int, float))
-                or not math.isfinite(_float(item[1]))):
-            raise ConfigInvalid(
-                "%s.%s[%d] must be [positive-int mode, finite amplitude]"
-                % (path, key, k))
-        out.append((item[0], float(item[1])))
+        at = "%s[%d]" % (where, k)
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigInvalid("%s must be [mode, amplitude]" % at)
+        out.append((_scalar(item[0], at + "[0]", integer=True, minimum=1),
+                    _scalar(item[1], at + "[1]")))
     return tuple(out)
 
 
@@ -185,12 +188,7 @@ def _parse_curve(parent, path):
             )
         return CurveSpec(m=m)
     if isinstance(heights, list):
-        for k, v in enumerate(heights):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not math.isfinite(_float(v)):
-                raise ConfigInvalid("%s.heights[%d] must be a finite number"
-                                    % (path, k))
-        vals = tuple(float(v) for v in heights)
+        vals = _scalars(heights, path + ".heights")
         if m is None:
             m = len(vals)
         elif m != len(vals):
@@ -199,22 +197,6 @@ def _parse_curve(parent, path):
                 % (path, len(vals), m))
         return CurveSpec(m=m, kind="samples", heights=vals)
     raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
-
-
-def _parse_values(obj, key, path):
-    raw = obj.get(key)
-    if raw is None:
-        return None
-    if not isinstance(raw, list):
-        raise ConfigInvalid("%s.%s must be a list of numbers" % (path, key))
-    out = []
-    for k, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                or not math.isfinite(_float(v)) or v <= 0:
-            raise ConfigInvalid("%s.%s[%d] must be a positive number"
-                                % (path, key, k))
-        out.append(float(v))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -257,12 +239,12 @@ def _parse_geometry(obj):
         _check_keys(obj, allowed, path)
         boundary = _section(obj, "boundary", path + ".boundary",
                             {"top", "bottom"})
+        a = _number(obj, "a", path, positive=True)
+        b = _number(obj, "b", path, positive=True)
+        values = {key: _scalars(obj[key], "%s.%s" % (path, key), positive=True)
+                  for key in ("a_values", "b_values") if obj.get(key) is not None}
         return GeometrySpec(
-            kind="strip",
-            a=_number(obj, "a", path, positive=True),
-            b=_number(obj, "b", path, positive=True),
-            a_values=_parse_values(obj, "a_values", path),
-            b_values=_parse_values(obj, "b_values", path),
+            kind="strip", a=a, b=b, **values,
             curve=_parse_curve(obj, path + ".curve"),
             top=_parse_boundary_side(boundary.get("top"), path + ".boundary.top",
                                      GeometrySpec.top),
@@ -356,18 +338,16 @@ def parse_config(data):
     compute_mu = eig.get("compute_mu", EigenSpec.compute_mu)
     if not isinstance(compute_mu, bool):
         raise ConfigInvalid("eigen.compute_mu must be true or false")
-    modes_raw = eig.get("modes", list(EigenSpec.modes))
-    if (not isinstance(modes_raw, list) or not modes_raw
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in modes_raw)):
+    # unlike other keys, an explicit null here is rejected, not the default
+    modes = _scalars(eig.get("modes", list(EigenSpec.modes)), "eigen.modes",
+                     integer=True)
+    if not modes:
         raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
-    for k, mode in enumerate(modes_raw):
-        if not math.isfinite(_float(mode)):
-            raise ConfigInvalid("eigen.modes[%d] is too large" % k)
     eigen = EigenSpec(
         restriction=restriction,
         band=_number(eig, "band", "eigen", default=EigenSpec.band, positive=True),
         compute_mu=compute_mu,
-        modes=tuple(modes_raw),
+        modes=modes,
     )
 
     val = _section(data, "validate", "validate", {
@@ -404,10 +384,20 @@ def parse_config(data):
     )
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice (json keeps the last)."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigInvalid("duplicate key %r in a config object" % key)
+        obj[key] = value
+    return obj
+
+
 def load_config(path):
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigInvalid("cannot read config file: %s" % exc) from exc
     except json.JSONDecodeError as exc:

@@ -24,8 +24,10 @@ grid rows on a curved one), and both eigenvalues come from one
 dense generalized eigensolve of the restricted pencil (P^T A P, P^T G P):
 lambda_1 is its top eigenvalue and mu = 1 / lambda_1, so the two are
 algebraically tied rather than independent evidence.  TOperator.apply
-and the form evaluations keep the matrix-free CG route and serve as the
-independent reference for A.
+and the form evaluations keep the matrix-free CG route.  It solves with
+the same assembled stiffness that A is built from, so it is an
+implementation check of A (the same algebra by another algorithm), not
+independent evidence.
 """
 
 import math
@@ -294,11 +296,13 @@ class EigenStats:
 
 @dataclass(frozen=True)
 class SecondVariationResult:
-    """d2F[phi] evaluated by the direct route, with the dual cross-check.
+    """d2F[phi] evaluated by the direct route, with the dual value.
 
     value = -2 * bulk energy of v_phi + ||phi||~^2   (direct route)
     dual  = ||phi||~^2 - (T phi, phi)~
-    The two agree up to linear-solver tolerance.
+    The two agree up to linear-solver tolerance.  The Gauss energy of v_phi
+    equals its stiffness form, so dual is the same algebra as value: an
+    implementation check, not an independent one.
     """
 
     value: float

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import argparse
 import json
 import math
 import os
@@ -190,6 +191,17 @@ def test_unknown_key_is_named(tmp_path, capsys):
     assert "grid.nz" in err
 
 
+def test_duplicate_key_is_named(tmp_path, capsys):
+    # json keeps the last of two equal keys; the config must not run at nx = 32
+    path = tmp_path / "dup.json"
+    path.write_text('{"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},'
+                    ' "grid": {"nx": 64, "nx": 32, "ny": 32}}')
+    code = main(["analyze", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: ConfigInvalid: duplicate key 'nx'" in err
+
+
 def test_odd_mode_is_surfaced(tmp_path, capsys):
     cfg = strip_config(tmp_path, eigen={"modes": [3]})
     code = main(["compare", "--config", cfg])
@@ -323,6 +335,51 @@ def test_out_writes_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert json.loads(out_path.read_text())["verdict"] == "strictly_stable"
+
+
+@pytest.mark.parametrize("command,out", [
+    ("analyze", "missing/report.json"),   # a directory that does not exist
+    ("oracle", "."),                      # a directory, not a file
+])
+def test_unwritable_out_is_an_error_line(tmp_path, capsys, monkeypatch,
+                                         command, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = strip_config(tmp_path)
+    code = main([command, "--config", cfg, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigInvalid: cannot write output "
+                                   "file %s: " % out)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_parser_reads_every_flag(command):
+    parser = cli._build_parser()
+    assert not any(isinstance(action, argparse._SubParsersAction)
+                   for action in parser._actions)
+    args = parser.parse_args([
+        command, "--config", "c.json", "--out", "r.json", "--grid", "48,32",
+        "--restriction", "endpoint_zero", "--jobs", "2"])
+    assert vars(args) == {"command": command, "config": "c.json",
+                          "out": "r.json", "grid": "48,32",
+                          "restriction": "endpoint_zero", "jobs": 2}
+    assert vars(parser.parse_args([command, "--config", "c.json"])) == {
+        "command": command, "config": "c.json", "out": None, "grid": None,
+        "restriction": None, "jobs": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--config", "c.json"],   # unknown command
+    ["analyze"],                       # no --config
+    ["--config", "c.json"],            # no command
+    ["analyze", "--config", "c.json", "--jobs", "two"],
+], ids=["unknown-command", "missing-config", "missing-command", "jobs-type"])
+def test_usage_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage: ms-stability" in capsys.readouterr().err
 
 
 def test_jobs_must_be_positive(tmp_path, capsys):
@@ -481,6 +538,93 @@ def test_missing_config_file(tmp_path, capsys):
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)
+
+
+def strip_geometry(**keys):
+    return {"geometry": dict({"kind": "strip", "a": 1.0, "b": 1.0}, **keys)}
+
+
+def segment_geometry(**keys):
+    return {"geometry": dict({"kind": "segment", "length": 1.0, "h1": -1.0,
+                              "h2": -1.0}, **keys)}
+
+
+def with_section(name, **keys):
+    return dict(strip_geometry(), **{name: keys})
+
+
+# Every number a config holds: (key path, rule, config with the value at it).
+# A rule is "number", "positive", or ("integer", minimum or None).
+NUMERIC_KEYS = [
+    ("geometry.a", "positive", lambda v: strip_geometry(a=v)),
+    ("geometry.b", "positive", lambda v: strip_geometry(b=v)),
+    ("geometry.a_values[1]", "positive",
+     lambda v: strip_geometry(a_values=[1.0, v], b_values=[1.0])),
+    ("geometry.b_values[0]", "positive",
+     lambda v: strip_geometry(a_values=[1.0], b_values=[v])),
+    ("geometry.curve.m", ("integer", 8), lambda v: strip_geometry(curve={"m": v})),
+    ("geometry.curve.heights[3]", "number",
+     lambda v: strip_geometry(curve={"heights": [0.0] * 3 + [v] + [0.0] * 12})),
+    ("geometry.curve.mode", ("integer", 1),
+     lambda v: strip_geometry(curve={"mode": v})),
+    ("geometry.curve.amplitude", "number",
+     lambda v: strip_geometry(curve={"amplitude": v})),
+    ("geometry.curve.phase", "number", lambda v: strip_geometry(curve={"phase": v})),
+    ("geometry.boundary.top.slope", "number",
+     lambda v: strip_geometry(boundary={"top": {"slope": v}})),
+    ("geometry.boundary.bottom.constant", "number",
+     lambda v: strip_geometry(boundary={"bottom": {"constant": v}})),
+    ("geometry.boundary.top.cos[0][0]", ("integer", 1),
+     lambda v: strip_geometry(boundary={"top": {"cos": [[v, 0.1]]}})),
+    ("geometry.boundary.bottom.sin[1][1]", "number",
+     lambda v: strip_geometry(boundary={"bottom": {"sin": [[1, 0.1], [2, v]]}})),
+    ("geometry.length", "positive", lambda v: segment_geometry(length=v)),
+    ("geometry.h1", "number", lambda v: segment_geometry(h1=v)),
+    ("geometry.h2", "number", lambda v: segment_geometry(h2=v)),
+    ("geometry.m", ("integer", 16), lambda v: segment_geometry(m=v)),
+    ("grid.nx", ("integer", 16), lambda v: with_section("grid", nx=v)),
+    ("grid.ny", ("integer", 16), lambda v: with_section("grid", ny=v)),
+    ("solver.rtol", "positive", lambda v: with_section("solver", rtol=v)),
+    ("eigen.seed", ("integer", None), lambda v: with_section("eigen", seed=v)),
+    ("eigen.band", "positive", lambda v: with_section("eigen", band=v)),
+    ("eigen.modes[1]", ("integer", None),
+     lambda v: with_section("eigen", modes=[2, v])),
+    ("validate.flow.mode", ("integer", 1),
+     lambda v: with_section("validate", flow={"mode": v})),
+    ("validate.flow.amplitude", "number",
+     lambda v: with_section("validate", flow={"amplitude": v})),
+    ("validate.step", "positive", lambda v: with_section("validate", step=v)),
+    ("validate.first_tol", "positive",
+     lambda v: with_section("validate", first_tol=v)),
+    ("validate.second_tol", "positive",
+     lambda v: with_section("validate", second_tol=v)),
+    ("validate.criticality_tol", "positive",
+     lambda v: with_section("validate", criticality_tol=v)),
+]
+
+
+def _good_and_bad_values(rule):
+    bad = [True, "1", [1], math.nan, math.inf, HUGE]
+    if rule in ("number", "positive"):
+        return 0.5, bad + ([0, -1] if rule == "positive" else [])
+    minimum = rule[1]
+    if minimum is None:
+        return 2, bad + [1.5]
+    return minimum, bad + [1.5, minimum - 1]
+
+
+@pytest.mark.parametrize("path,config,good,value", [
+    pytest.param(path, config, good, value, id="%s=%s" % (
+        path, "1e400" if value is HUGE else json.dumps(value)))
+    for path, rule, config in NUMERIC_KEYS
+    for good, bad in [_good_and_bad_values(rule)] for value in bad])
+def test_every_number_is_checked_and_named(path, config, good, value):
+    # the config is valid with a good value at the key, so the rejection
+    # below is the bad value's
+    parse_config(config(good))
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(config(value))
+    assert str(exc.value).startswith(path + " ")
 
 
 def test_boundary_overtones_are_applied():

@@ -282,11 +282,12 @@ def test_dense_eigensolves_confirm_iterative_values():
 ])
 def test_dual_matrix_matches_transport_solves_on_curved_mesh(
         a, b, amplitude, n, restriction):
-    # The dense A against the CG transport solve: A P phi must be the dual
-    # vector.  A curved (mapped, non-uniform) mesh builds A by the row
-    # sweep; amplitude 0 is the flat mesh, which builds it from the Fourier
-    # symbol.  CG stops on its residual against the assembled a_uu, so it
-    # checks either route independently.
+    # Implementation check, not an independent one: the dense A against
+    # the CG transport solve, where A P phi must be the dual vector.  A is
+    # 2 C^T (a_uu^-1)_00 C of the same assembled a_uu that CG solves with,
+    # so this checks how A is built, by another algorithm.  A curved
+    # (mapped, non-uniform) mesh builds A by the row sweep; amplitude 0 is
+    # the flat mesh, which builds it from the Fourier symbol.
     domain = drift_domain(a, b)
     curve = ms.sinusoidal_curve(b, n, mode=1, amplitude=amplitude)
     state, _ = ms.solve_state(domain, curve, ms.Grid(n, n))
