@@ -188,6 +188,12 @@ def _parse_curve(parent, path):
             )
         return CurveSpec(m=m)
     if isinstance(heights, list):
+        for key in ("mode", "amplitude", "phase"):
+            if key in obj:
+                # a heights list is the whole curve; a sine key next to it
+                # would otherwise be dropped unread
+                raise ConfigInvalid("%s.%s cannot be combined with a heights "
+                                    "list" % (path, key))
         vals = _scalars(heights, path + ".heights")
         if m is None:
             m = len(vals)
@@ -340,7 +346,7 @@ def parse_config(data):
         raise ConfigInvalid("eigen.compute_mu must be true or false")
     # unlike other keys, an explicit null here is rejected, not the default
     modes = _scalars(eig.get("modes", list(EigenSpec.modes)), "eigen.modes",
-                     integer=True)
+                     integer=True, minimum=2)
     if not modes:
         raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
     eigen = EigenSpec(

@@ -5,20 +5,23 @@ Each component is meshed by vertically interpolating between the curve
 and its wall: grid row j of the upper component sits at
 y = psi(x) * (1 - j/ny) + a * (j/ny), and symmetrically below.  On the
 resulting quadrilateral cells we use isoparametric bilinear elements
-with 2x2 Gauss quadrature, which keeps every element matrix exactly
-symmetric; the matching Gauss rule is reused for energy evaluation so
-that the quadrature energy of a discrete field equals its stiffness
-quadratic form to rounding.
+with 2x2 Gauss quadrature; the matching Gauss rule is reused for energy
+evaluation so that the quadrature energy of a discrete field equals its
+stiffness quadratic form to rounding.
 
 The interpolated mesh makes each cell's Jacobian affine in the row: in
 cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
 per column, and y_xi = (psi_i+1 - psi_i) t with t = 1 - (j + eta)/ny.
-So every element matrix is a quadratic in t with per-column coefficients.
-Node row j collects corners from cell rows j and j - 1, so summing the
-per-column coefficients per stencil entry first leaves one matrix product
-over the rows, which yields the 9-point node stencil and the drift load
-directly, without a per-cell array.  The solver applies the stiffness
-straight from that stencil; a CSR copy is built only when a caller asks
+So every element matrix entry is a quadratic in t whose coefficients
+are constants times six scalars per Gauss point and column.  Node row j
+collects corners from cell rows j and j - 1, so one constant linear map
+takes those scalars to per-column stencil factors, and one matrix
+product over the rows yields the node stencil and the drift load,
+without a per-cell array.  Only the centre and the four forward
+couplings are stored; each backward coupling is read from the forward
+one of its neighbour, so the assembled stiffness is exactly symmetric,
+not only each element matrix.  The solver applies the stiffness
+straight from those slabs; a CSR copy is built only when a caller asks
 for a_uu.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
@@ -59,16 +62,59 @@ _DN_DXI = np.stack(
 _DN_DETA = np.stack(
     [-(1.0 - _GAUSS_XI), -_GAUSS_XI, (1.0 - _GAUSS_XI), _GAUSS_XI], axis=1
 )
-# The same corners as column and row offsets, and all corner pairs (a, b).
+# The same corners as column and row offsets.
 _IA, _JA = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
-_PA, _PB = np.indices((4, 4)).reshape(2, 16)
-# The 16 element-matrix entries (_PA, _PB), then the 4 corner drift loads,
-# land at the node of corner a (column ia, row ja) of the cell, in slot
-# _ENTRY_DEST: stencil entry 3 (dj + 1) + di + 1, or 9 for the drift load.
-_ENTRY_IA = np.concatenate([_IA[_PA], _IA])
-_ENTRY_JA = np.concatenate([_JA[_PA], _JA])
-_ENTRY_DEST = np.concatenate(
-    [3 * (_JA[_PB] - _JA[_PA] + 1) + _IA[_PB] - _IA[_PA] + 1, np.full(4, 9)])
+# The stencil offsets (dj, di) a side stores, one slab each: the centre and
+# the four forward couplings.  The other four are their mirror images.
+_FORWARD = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _assembly_map():
+    """The constant linear map from column scalars to stencil factors.
+
+    At Gauss point g of cell column i the element matrix entry (a, b) is
+    sum_k t^k times a corner constant times one of the column scalars
+    w/hx^2, w/y_eta^2, w s/hx and w s^2 (w the Gauss weight times |det|, s
+    the shear), and corner a's drift load is the same with w/hx and w s;
+    see __init__.  Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia),
+    so the node takes that corner's terms from cell column i - ia.  Row
+    (slab, ja, eta, k) of the map is the t^k factor at Gauss row eta that
+    the ja corners pass to slab: the _FORWARD couplings, then the drift
+    load.  Column (ia, g, scalar) is a scalar of cell column i - ia.
+    """
+    out = np.zeros((6, 2, 2, 3, 2, 4, 6))
+    for g in range(4):
+        dxi, deta = _DN_DXI[g], _DN_DETA[g]
+        for a in range(4):
+            ia, ja = _IA[a], _JA[a]
+            terms = out[:, ja, g // 2, :, ia, g]  # (slab, k, scalar), a view
+            for b in range(4):
+                offset = (_JA[b] - ja, _IA[b] - ia)
+                if offset in _FORWARD:
+                    slab = terms[_FORWARD.index(offset)]
+                    slab[0, 0] += dxi[a] * dxi[b]
+                    slab[0, 1] += deta[a] * deta[b]
+                    slab[1, 2] -= dxi[a] * deta[b] + deta[a] * dxi[b]
+                    slab[2, 3] += deta[a] * deta[b]
+            terms[5, 0, 4] += dxi[a]
+            terms[5, 1, 5] -= deta[a]
+    return out.reshape(72, 48)
+
+
+_ASSEMBLY_MAP = _assembly_map()
+
+
+def _slab_of(dj, di):
+    """(slab, row shift, column shift) where coupling (dj, di) is stored.
+
+    A forward coupling is its own slab.  By symmetry a backward one,
+    from node (j, i) to (j + dj, i + di), is the forward coupling
+    (-dj, -di) of that neighbour: its slab read shifted by (dj, di).
+    """
+    if (dj, di) in _FORWARD:
+        return _FORWARD.index((dj, di)), 0, 0
+    return _FORWARD.index((-dj, -di)), dj, di
+
 
 DEFAULT_RTOL = 1e-10
 MAXITER_FACTOR = 50
@@ -117,12 +163,15 @@ class _Component:
 
     Node (j, i) has flat index j*nx + i with j = 0 the curve row and
     j = ny the wall row, so the first nx*ny indices are the unknowns and
-    the trailing nx are the Dirichlet nodes.  The stiffness is held as
-    the 9-point stencil of the unknown rows, _stencil[j, dj + 1, di + 1, i]
-    coupling node (j, i) to node (j + dj, i + di mod nx).  Its storage is
-    the product that assembles it: ordered (dj, di, row, column) with a
-    zero ghost column on each side, the layout _apply reads as nine
-    contiguous coefficient rows, and a tenth slab holding the drift load.
+    the trailing nx are the Dirichlet nodes.  The stiffness of the unknown
+    rows is a 9-point stencil: the coupling of node (j, i) to node
+    (j + dj, i + di mod nx).  Only the centre and the four forward
+    couplings of _FORWARD are stored, as _slabs[k, j + 1, i + 1]: one
+    slab each, with a zero ghost row under the curve row and a periodic
+    ghost column on each side.  A backward coupling is the matching
+    forward slab read at the neighbour (_slab_of), so the operator is
+    exactly symmetric.  _apply reads the nine couplings as contiguous
+    runs of the flattened slabs.
     """
 
     def __init__(self, domain, curve, grid, side):
@@ -134,58 +183,58 @@ class _Component:
         ip = (np.arange(nx) + 1) % nx
 
         # Column factors, shape (gauss point, column): y_eta, the Gauss
-        # weight times |det|, and grad_x N = p - t q, grad_y N = gy.
+        # weight w times |det| and the shear s.  At row factor t the shape
+        # gradients are grad_x N = dN/dxi / hx - t s dN/deta and
+        # grad_y N = dN/deta / y_eta, so each element matrix entry and
+        # drift load is a quadratic in t whose coefficients are corner
+        # constants times six column scalars (see _assembly_map).
         step = (sign * a - psi) / ny
         y_eta = np.outer(1.0 - _GAUSS_XI, step) + np.outer(_GAUSS_XI, step[ip])
         if np.any(y_eta == 0.0):
             raise ValueError("degenerate cell: curve touches a wall")
         weight = 0.25 * hx * np.abs(y_eta)
         shear = (psi[ip] - psi) / hx / y_eta
-        gy = _DN_DETA[:, :, None] / y_eta[:, None, :]  # (g, corner, column)
-        q = _DN_DETA[:, :, None] * shear[:, None, :]
-        p = np.broadcast_to(_DN_DXI[:, :, None] / hx, q.shape)
-
-        # coef[g, k]: the t^k factor at Gauss point g of the 16 element
-        # matrix entries (_PA, _PB), then of the 4 corner drift loads.
-        w = weight[:, None, :]
-        coef = np.zeros((4, 3, 20, nx))
-        coef[:, 0, :16] = w * (p[:, _PA] * p[:, _PB] + gy[:, _PA] * gy[:, _PB])
-        coef[:, 1, :16] = -w * (p[:, _PA] * q[:, _PB] + q[:, _PA] * p[:, _PB])
-        coef[:, 2, :16] = w * q[:, _PA] * q[:, _PB]
-        coef[:, 0, 16:] = w * p
-        coef[:, 1, 16:] = -w * q
-        # Gauss points 0, 1 share eta = _GP[0], and 2, 3 share _GP[1]; the
-        # factor rows are then (eta, k).
-        coef = coef.reshape(2, 2, -1).sum(axis=1).reshape(6, 20, nx)
-
-        # Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia), so node
-        # (j, i) takes the ja = 0 corners of cell row j and the ja = 1
-        # corners of cell row j - 1, each from cell column i - ia.  Rolling
-        # the ia = 1 factors by one column and summing per destination
-        # gives block[dest, ja, (eta, k), column], with a zero ghost column
-        # on each side.
-        right = _ENTRY_IA == 1
-        coef[:, right] = np.roll(coef[:, right], 1, axis=-1)
-        block = np.zeros((10, 2, 6, nx + 2))
-        for dest, ja, values in zip(_ENTRY_DEST, _ENTRY_JA, coef.transpose(1, 0, 2)):
-            block[dest, ja, :, 1:-1] += values
-        # powers[j, ja]: the t^k factors of cell row j - ja.  The curve row
-        # has no cell row below it, so its ja = 1 factors stay zero.
+        ws = weight * shear
+        scalars = np.stack([weight / (hx * hx), weight / (y_eta * y_eta),
+                            ws / hx, ws * shear, weight / hx, ws], axis=1)
+        # Padded column c is node column c - 1: its ia = 0 corners take the
+        # scalars of cell column c - 1, its ia = 1 corners those of c - 2.
+        cols = scalars.reshape(24, nx).take(np.arange(-2, nx + 1), axis=1,
+                                            mode="wrap")
+        block = _ASSEMBLY_MAP @ np.concatenate([cols[:, 1:], cols[:, :-1]])
+        # powers[j + 1, ja]: the t^k factors of cell row j - ja.  The ghost
+        # row and the curve row's ja = 1 corners have no cell row, so
+        # their factors stay zero.
         t = 1.0 - (np.arange(ny)[:, None] + np.array(_GP)) / ny  # (row, eta)
-        powers = np.zeros((ny, 2, 6))
-        powers[:, 0] = (t[:, :, None] ** np.arange(3)).reshape(ny, 6)
-        powers[1:, 1] = powers[:-1, 0]
-        # (dest, row, padded column): the stencil storage and the drift load.
-        storage = np.matmul(powers.reshape(ny, 12), block.reshape(10, 12, nx + 2))
+        powers = np.zeros((ny + 1, 2, 6))
+        powers[1:, 0] = (t[:, :, None] ** np.arange(3)).reshape(ny, 6)
+        powers[2:, 1] = powers[1:-1, 0]
+        powers = powers.reshape(ny + 1, 12)
+        width = nx + 2
+        # (slab, padded row, padded column), and the drift load.  The ghost
+        # columns are copied from the columns they repeat, since the product
+        # need not round a repeated column the same way.
+        self._slabs = np.matmul(powers, block[:60].reshape(5, 12, width))
+        self._slabs[..., 0] = self._slabs[..., nx]
+        self._slabs[..., -1] = self._slabs[..., 1]
+        self.drift_load = (powers[1:] @ block[60:, 1:-1]).ravel()
 
         self.side = side
         self.nx = nx
         self.ny = ny
         self.n_unknown = nx * ny
-        self._coef = storage[:9].reshape(9, -1)  # (3 dj + di, padded node)
-        self._stencil = (storage[:9].reshape(3, 3, ny, nx + 2)
-                         .transpose(2, 0, 1, 3)[..., 1:-1])  # (j, dj, di, i)
-        self.drift_load = storage[9, :, 1:-1].ravel()
+        # _apply's (offset into its padded v, coupling) for each (dj, di):
+        # the coupling as a run of the flattened slabs at the unknown rows'
+        # padded nodes.  A run shifted to (-1, -1) starts one entry into
+        # the slab before; that entry meets only a ghost column of v.
+        flat, size = self._slabs.reshape(-1), ny * width
+        self._terms = []
+        for dj in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                k, sj, si = _slab_of(dj, di)
+                at = (k * (ny + 1) + 1 + sj) * width + si
+                self._terms.append(((dj + 1) * width + di + 1,
+                                    flat[at:at + size]))
         self._weight = weight
         self._inv_y_eta = 1.0 / y_eta
         self._shear = shear
@@ -202,16 +251,27 @@ class _Component:
         #   a_uu^-1 = (2/ny) (C (x) F^-1) diag(1/lam) (C^T (x) F).
         # A curved mesh uses the flat strip of the same mean height.
         hy = (a - sign * float(np.mean(psi))) / ny
-        theta_x = 2.0 * np.pi * np.arange(nx // 2 + 1) / nx
-        theta_y = (np.arange(ny) + 0.5) * np.pi / ny
-        k_x = (2.0 - 2.0 * np.cos(theta_x)) / hx
-        m_x = hx * (4.0 + 2.0 * np.cos(theta_x)) / 6.0
-        k_y = (2.0 - 2.0 * np.cos(theta_y)) / hy
-        m_y = hy * (4.0 + 2.0 * np.cos(theta_y)) / 6.0
-        lam = m_y[:, None] * k_x[None, :] + k_y[:, None] * m_x[None, :]
+        stiff_x, mass_x = _p1_symbols(nx, True)
+        stiff_y, mass_y = _p1_symbols(ny, False)
+        lam = np.outer(hy * mass_y / 6.0, stiff_x / hx)
+        lam += np.outer(stiff_y / hy, hx * mass_x / 6.0)
         self._cos_y = _cosine_basis(ny)  # (j, k)
-        self._inv_eig = (2.0 / ny) / lam  # (ny, nx//2 + 1)
+        self._inv_eig = np.divide(2.0 / ny, lam, out=lam)  # (ny, nx//2 + 1)
         self._flat = bool(np.all(psi == psi[0]))
+
+    def _coupling(self, dj, di):
+        """(ny, nx) view: the coupling of node (j, i) to (j + dj, i + di)."""
+        k, sj, si = _slab_of(dj, di)
+        return self._slabs[k, 1 + sj:1 + sj + self.ny, 1 + si:1 + si + self.nx]
+
+    @property
+    def _stencil(self):
+        """All nine couplings as one (j, dj + 1, di + 1, i) array.
+
+        Built anew on each read, for a_uu and tests; the solver reads the
+        slabs."""
+        nine = [self._coupling(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+        return np.stack(nine, axis=1).reshape(self.ny, 3, 3, self.nx)
 
     def _flat_inverse(self, r):
         """Exact inverse of the flat-strip operator applied to r."""
@@ -227,13 +287,13 @@ class _Component:
         return _stencil_csr(self._stencil)
 
     def _apply(self, v):
-        """a_uu @ v straight from the stencil.
+        """a_uu @ v straight from the slabs.
 
         v is copied into a grid with a zero row below the curve row (whose
-        dj = -1 entries are zero anyway) and above row ny - 1 (the wall is
-        not an unknown), and a periodic ghost column on each side.  In that
-        grid, flattened, neighbour (dj, di) sits at a fixed offset, so each
-        of the nine stencil entries is one contiguous multiply-add.
+        dj = -1 couplings are zero anyway) and above row ny - 1 (the wall
+        is not an unknown), and a periodic ghost column on each side.  In
+        that grid, flattened, neighbour (dj, di) sits at a fixed offset, so
+        each of the nine couplings is one contiguous multiply-add.
         """
         nx, ny = self.nx, self.ny
         width = nx + 2
@@ -246,8 +306,7 @@ class _Component:
         grid[1:-1, -1] = v[:, 0]
         size = ny * width
         out, term = np.zeros(size), np.empty(size)
-        for k, coef in enumerate(self._coef):
-            start = (k // 3) * width + k % 3
+        for start, coef in self._terms:
             out += np.multiply(coef, padded[start:start + size], out=term)
         return out.reshape(ny, width)[:, 1:-1].ravel()
 
@@ -339,21 +398,23 @@ class _Component:
         Block elimination from the wall row toward the curve row keeps
         X = inverse of the current Schur complement:
         X <- (D_j - U_j X U_j^T)^-1.  Each block couples column i to
-        columns i - 1, i, i + 1 only, so D_j and U_j are the stencil's
-        three coefficient rows and each step costs one dense inversion.
+        columns i - 1, i, i + 1 only, so D_j and U_j hold row j's couplings
+        (0, di) and (1, di), and each step costs one dense inversion.
         """
         nx = self.nx
         i = np.arange(nx)
         shift = (i + np.arange(-1, 2)[:, None]) % nx  # (3, nx): column i + k
-        diag, upper = self._stencil[:, 1], self._stencil[:, 2]
+        diag, upper = ([self._coupling(dj, di) for di in (-1, 0, 1)]
+                       for dj in (0, 1))
         x = None
         for j in range(self.ny - 1, -1, -1):
             s = np.zeros((nx, nx))
-            s[i, shift] = diag[j]
+            s[i, shift] = [c[j] for c in diag]
             if x is not None:
                 # U X U^T = U (U X)^T since X is symmetric.
-                ux = (upper[j][:, :, None] * x[shift]).sum(axis=0)
-                s -= (upper[j][:, :, None] * ux.T[shift]).sum(axis=0)
+                u = np.array([c[j] for c in upper])[:, :, None]
+                ux = (u * x[shift]).sum(axis=0)
+                s -= (u * ux.T[shift]).sum(axis=0)
             x = _sym_inverse(s)
         return x
 
@@ -362,8 +423,8 @@ class _Component:
         nx = self.nx
         ghost = np.concatenate([wall[-1:], wall, wall[:1]])  # wall[i - 1 + k]
         out = np.zeros(self.n_unknown)
-        out[-nx:] = sum(c * ghost[k:k + nx]
-                        for k, c in enumerate(self._stencil[-1, 2]))
+        out[-nx:] = sum(self._coupling(1, di)[-1] * ghost[k:k + nx]
+                        for k, di in enumerate((-1, 0, 1)))
         return out
 
     def energy(self, w_nodal, slope):
@@ -382,6 +443,20 @@ class _Component:
             uy = ue * self._inv_y_eta[g]
             total += np.sum(ux * ux + uy * uy, axis=0) @ self._weight[g]
         return float(total)
+
+
+@functools.lru_cache(maxsize=16)
+def _p1_symbols(n, periodic):
+    """2 - 2 cos(theta) and 4 + 2 cos(theta) at the flat-strip modes theta
+    of n nodes: 2 pi k / n (k <= n/2) when periodic, else (k + 1/2) pi / n.
+    Times 1/h and h/6 they are the symbols of the P1 stiffness and the
+    consistent mass.  Cached read-only, like _cosine_basis."""
+    theta = (2.0 * np.pi * np.arange(n // 2 + 1) / n if periodic
+             else (np.arange(n) + 0.5) * np.pi / n)
+    cos = np.cos(theta)
+    symbols = np.stack([2.0 - 2.0 * cos, 4.0 + 2.0 * cos])
+    symbols.flags.writeable = False
+    return symbols
 
 
 @functools.lru_cache(maxsize=8)

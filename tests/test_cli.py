@@ -460,6 +460,13 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
     assert results["mu"]["value"] == pytest.approx(1.6008076906300905, rel=1e-12)
 
 
+def test_oracle_rejects_mode_below_two_at_parse(tmp_path, capsys):
+    cfg = strip_config(tmp_path, eigen={"modes": [0]})
+    assert main(["oracle", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and "eigen.modes[0]" in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["analyze", "--config", str(tmp_path / "nope.json")])
     assert code == 1
@@ -527,6 +534,19 @@ def test_missing_config_file(tmp_path, capsys):
     # CG would return the zero correction as converged
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
       "solver": {"rtol": 1.0}}, "solver.rtol"),
+    # a heights list is the whole curve; sine keys next to it are refused
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": [0.0] * 16, "mode": "x",
+                             "amplitude": True}}}, "geometry.curve.mode"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": [0.0] * 16, "amplitude": 0.05}}},
+     "geometry.curve.amplitude"),
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                   "curve": {"heights": [0.0] * 16, "phase": 0.0}}},
+     "geometry.curve.phase"),
+    # the oracle's mode law starts at 2
+    ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+      "eigen": {"modes": [0]}}, "eigen.modes[0]"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
         "heights-number-with-sine-keys", "heights-object-with-sine-keys",
@@ -534,7 +554,8 @@ def test_missing_config_file(tmp_path, capsys):
         "eigen-max-iter", "eigen-seed-type", "huge-number",
         "huge-overtone-amplitude", "huge-height", "huge-a-value",
         "huge-b-value", "huge-curve-mode", "huge-flow-mode", "huge-eigen-mode",
-        "huge-overtone-mode", "rtol-one"])
+        "huge-overtone-mode", "rtol-one", "heights-with-mode",
+        "heights-with-amplitude", "heights-with-phase", "eigen-mode-zero"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)
@@ -587,7 +608,7 @@ NUMERIC_KEYS = [
     ("solver.rtol", "positive", lambda v: with_section("solver", rtol=v)),
     ("eigen.seed", ("integer", None), lambda v: with_section("eigen", seed=v)),
     ("eigen.band", "positive", lambda v: with_section("eigen", band=v)),
-    ("eigen.modes[1]", ("integer", None),
+    ("eigen.modes[1]", ("integer", 2),
      lambda v: with_section("eigen", modes=[2, v])),
     ("validate.flow.mode", ("integer", 1),
      lambda v: with_section("validate", flow={"mode": v})),

@@ -238,11 +238,11 @@ def test_assembly_matches_per_cell_reference(nx, ny, amplitude):
 
 
 def test_assembly_keeps_no_per_cell_arrays():
-    # Peak traced memory of one 128^2 side: 18.7 MB when the assembly held
-    # (cells, 4, 4) gradient arrays and a COO copy, and 4.4 MB against
-    # 1.5 MB kept when it still built a (row, entry, column) array of all
-    # cells.  Summing the factors per stencil entry before the one product
-    # over the rows takes it to 1.95 MB against the 1.47 MB kept.
+    # Memory of one 128^2 side, peak against kept: 18.7 MB when the
+    # assembly held (cells, 4, 4) gradient arrays and a COO copy, 4.4 MB
+    # against 1.5 MB when it still built a (row, entry, column) array of
+    # all cells, 1.96 MB against 1.47 MB with all nine stencil slabs, and
+    # 1.18 MB against 0.84 MB with the five stored slabs and the drift load.
     domain = drift_domain()
     curve = ms.sinusoidal_curve(1.0, 128, mode=1, amplitude=0.1)
     grid = ms.Grid(128, 128)
@@ -254,8 +254,43 @@ def test_assembly_keeps_no_per_cell_arrays():
         del side
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 2 ** 20
+    assert kept <= 1.0 * 2 ** 20
+    assert peak <= 1.5 * 2 ** 20
     assert peak <= 2 * kept
+
+
+@pytest.mark.parametrize("n, amplitude", ((64, 0.1), (256, 0.05)))
+def test_stiffness_is_exactly_symmetric_on_curved_meshes(n, amplitude):
+    # Each backward coupling is read from the forward slab of its
+    # neighbour, so a_uu equals its transpose bit for bit.
+    curve = ms.sinusoidal_curve(1.0, n, mode=1, amplitude=amplitude)
+    system = elliptic.StripSystem(drift_domain(), curve, ms.Grid(n, n))
+    for comp in (system.upper, system.lower):
+        defect = comp.a_uu - comp.a_uu.T
+        defect.eliminate_zeros()
+        assert defect.nnz == 0
+
+
+def test_solve_path_never_builds_the_nine_point_array(monkeypatch):
+    # The solver, the wall coupling and the row sweep read the five slabs;
+    # the (j, dj, di, i) array is built only for a_uu and tests.
+    reads = []
+    nine_point = elliptic._Component._stencil
+
+    def counted(self):
+        reads.append(self.side)
+        return nine_point.fget(self)
+
+    monkeypatch.setattr(elliptic._Component, "_stencil", property(counted))
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
+    state, _ = ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32))
+    ms.solve_jump_source(state, np.cos(2.0 * math.pi * curve.abscissae))
+    for comp in (state.system.upper, state.system.lower):
+        assert not comp._flat
+        comp.curve_block_inverse()
+    assert reads == []
+    assert state.system.upper.a_uu.nnz > 0
+    assert reads == ["upper"]
 
 
 def test_energy_of_analytic_mode_matches_quadrature_oracle():
