@@ -230,6 +230,9 @@ def _run_phase_diagram(cfg):
     """
     _require_strip(cfg, "phase-diagram")
     geom = cfg.geometry
+    if geom.curve.kind != "flat":
+        raise ConfigInvalid("phase-diagram runs on the flat curve; "
+                            "geometry.curve must be flat")
     if geom.a_values is None or geom.b_values is None:
         raise ConfigInvalid(
             "phase-diagram needs geometry.a_values and geometry.b_values")

@@ -147,22 +147,21 @@ def _parse_boundary_side(obj, path, default):
 class CurveSpec:
     """Initial curve: flat, an explicit sample list, or one sine mode."""
 
-    m: int = None            # defaults to grid.nx when omitted
     kind: str = "flat"
     heights: tuple = ()
     mode: int = 1
     amplitude: float = 0.0
     phase: float = 0.0
 
-    def build(self, period, default_m):
-        m = self.m if self.m is not None else default_m
+    def build(self, period, m):
+        """The curve with m = grid.nx samples, one per grid column."""
         if self.kind == "flat":
             return geometry.flat_curve(period, m)
         if self.kind == "samples":
             if len(self.heights) != m:
                 raise ConfigInvalid(
-                    "geometry.curve.heights has %d samples, expected m = %d"
-                    % (len(self.heights), m))
+                    "geometry.curve.heights has %d samples, expected "
+                    "grid.nx = %d" % (len(self.heights), m))
             return geometry.GraphCurve(period, np.array(self.heights))
         return geometry.sinusoidal_curve(period, m, mode=self.mode,
                                          amplitude=self.amplitude,
@@ -171,22 +170,21 @@ class CurveSpec:
 
 def _parse_curve(parent, path):
     obj = _section(parent, "curve", path,
-                   {"m", "heights", "mode", "amplitude", "phase"})
-    m = _integer(obj, "m", path, default=CurveSpec.m, minimum=8)
+                   {"heights", "mode", "amplitude", "phase"})
     heights = obj.get("heights", "flat")
     if isinstance(heights, str):
         if heights != "flat":
             raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
         if "mode" in obj or "amplitude" in obj or "phase" in obj:
             return CurveSpec(
-                m=m, kind="sine",
+                kind="sine",
                 mode=_integer(obj, "mode", path, default=CurveSpec.mode,
                               minimum=1),
                 amplitude=_number(obj, "amplitude", path,
                                   default=CurveSpec.amplitude),
                 phase=_number(obj, "phase", path, default=CurveSpec.phase),
             )
-        return CurveSpec(m=m)
+        return CurveSpec()
     if isinstance(heights, list):
         for key in ("mode", "amplitude", "phase"):
             if key in obj:
@@ -194,14 +192,8 @@ def _parse_curve(parent, path):
                 # would otherwise be dropped unread
                 raise ConfigInvalid("%s.%s cannot be combined with a heights "
                                     "list" % (path, key))
-        vals = _scalars(heights, path + ".heights")
-        if m is None:
-            m = len(vals)
-        elif m != len(vals):
-            raise ConfigInvalid(
-                "%s.heights has %d samples, expected m = %d"
-                % (path, len(vals), m))
-        return CurveSpec(m=m, kind="samples", heights=vals)
+        return CurveSpec(kind="samples",
+                         heights=_scalars(heights, path + ".heights"))
     raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
 
 

@@ -5,9 +5,9 @@ Each component is meshed by vertically interpolating between the curve
 and its wall: grid row j of the upper component sits at
 y = psi(x) * (1 - j/ny) + a * (j/ny), and symmetrically below.  On the
 resulting quadrilateral cells we use isoparametric bilinear elements
-with 2x2 Gauss quadrature; the matching Gauss rule is reused for energy
-evaluation so that the quadrature energy of a discrete field equals its
-stiffness quadratic form to rounding.
+with 2x2 Gauss quadrature.  That rule is applied once, in the assembly:
+the Dirichlet energy of a discrete field is read from the assembled
+stiffness and drift load, so it is the stiffness quadratic form itself.
 
 The interpolated mesh makes each cell's Jacobian affine in the row: in
 cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
@@ -17,12 +17,13 @@ are constants times six scalars per Gauss point and column.  Node row j
 collects corners from cell rows j and j - 1, so one constant linear map
 takes those scalars to per-column stencil factors, and one matrix
 product over the rows yields the node stencil and the drift load,
-without a per-cell array.  Only the centre and the four forward
-couplings are stored; each backward coupling is read from the forward
-one of its neighbour, so the assembled stiffness is exactly symmetric,
-not only each element matrix.  The solver applies the stiffness
-straight from those slabs; a CSR copy is built only when a caller asks
-for a_uu.
+without a per-cell array.  The slabs cover every node row, the wall row
+included.  Only the centre and the four forward couplings are stored;
+each backward coupling is read from the forward one of its neighbour, so
+the assembled stiffness is exactly symmetric, not only each element
+matrix.  The solver applies the stiffness straight from those slabs, and
+the energy sums it over the forward couplings; a CSR copy is built only
+when a caller asks for a_uu.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
 so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
@@ -167,11 +168,12 @@ class _Component:
     rows is a 9-point stencil: the coupling of node (j, i) to node
     (j + dj, i + di mod nx).  Only the centre and the four forward
     couplings of _FORWARD are stored, as _slabs[k, j + 1, i + 1]: one
-    slab each, with a zero ghost row under the curve row and a periodic
-    ghost column on each side.  A backward coupling is the matching
-    forward slab read at the neighbour (_slab_of), so the operator is
-    exactly symmetric.  _apply reads the nine couplings as contiguous
-    runs of the flattened slabs.
+    slab each over node rows 0..ny, the wall row included, with a zero
+    ghost row under the curve row and a periodic ghost column on each
+    side.  A backward coupling is the matching forward slab read at the
+    neighbour (_slab_of), so the operator is exactly symmetric.  _apply
+    reads the nine couplings of the unknown rows as contiguous runs of the
+    flattened slabs; energy reads the forward couplings of all rows.
     """
 
     def __init__(self, domain, curve, grid, side):
@@ -202,22 +204,25 @@ class _Component:
         cols = scalars.reshape(24, nx).take(np.arange(-2, nx + 1), axis=1,
                                             mode="wrap")
         block = _ASSEMBLY_MAP @ np.concatenate([cols[:, 1:], cols[:, :-1]])
-        # powers[j + 1, ja]: the t^k factors of cell row j - ja.  The ghost
-        # row and the curve row's ja = 1 corners have no cell row, so
-        # their factors stay zero.
+        # powers[j + 1, ja]: the t^k factors of cell row j - ja, for node
+        # rows j = -1..ny.  The ghost row, the curve row's ja = 1 corners
+        # and the wall row's ja = 0 corners have no cell row, so their
+        # factors stay zero.
         t = 1.0 - (np.arange(ny)[:, None] + np.array(_GP)) / ny  # (row, eta)
-        powers = np.zeros((ny + 1, 2, 6))
-        powers[1:, 0] = (t[:, :, None] ** np.arange(3)).reshape(ny, 6)
+        powers = np.zeros((ny + 2, 2, 6))
+        powers[1:-1, 0] = (t[:, :, None] ** np.arange(3)).reshape(ny, 6)
         powers[2:, 1] = powers[1:-1, 0]
-        powers = powers.reshape(ny + 1, 12)
+        powers = powers.reshape(ny + 2, 12)
         width = nx + 2
-        # (slab, padded row, padded column), and the drift load.  The ghost
-        # columns are copied from the columns they repeat, since the product
-        # need not round a repeated column the same way.
+        # (slab, padded row, padded column), and the drift load of node rows
+        # 0..ny.  The ghost columns are copied from the columns they repeat,
+        # since the product need not round a repeated column the same way.
         self._slabs = np.matmul(powers, block[:60].reshape(5, 12, width))
         self._slabs[..., 0] = self._slabs[..., nx]
         self._slabs[..., -1] = self._slabs[..., 1]
-        self.drift_load = (powers[1:] @ block[60:, 1:-1]).ravel()
+        self._drift = powers[1:] @ block[60:, 1:-1]
+        self.drift_load = self._drift[:-1].ravel()  # the unknown rows, a view
+        self._area = ny * float(np.sum(weight))
 
         self.side = side
         self.nx = nx
@@ -232,13 +237,9 @@ class _Component:
         for dj in (-1, 0, 1):
             for di in (-1, 0, 1):
                 k, sj, si = _slab_of(dj, di)
-                at = (k * (ny + 1) + 1 + sj) * width + si
+                at = (k * (ny + 2) + 1 + sj) * width + si
                 self._terms.append(((dj + 1) * width + di + 1,
                                     flat[at:at + size]))
-        self._weight = weight
-        self._inv_y_eta = 1.0 / y_eta
-        self._shear = shear
-        self._hx = hx
 
         # Flat-strip preconditioner.  On a flat curve the mesh is a uniform
         # hx x hy rectangle and a_uu = M_y (x) K_x + K_y (x) M_x exactly,
@@ -427,22 +428,23 @@ class _Component:
                         for k, di in enumerate((-1, 0, 1)))
         return out
 
-    def energy(self, w_nodal, slope):
-        """Gauss-rule Dirichlet energy of u = slope * x + w on this side."""
-        w = np.concatenate([w_nodal, w_nodal[:, :1]], axis=1)
-        # Differences along cell edges; shifted views give each cell's
-        # bottom and top (d_xi) and left and right (d_eta) edge.
-        d_xi = np.diff(w, axis=1) / self._hx + slope
-        d_eta = np.diff(w, axis=0)
-        t = 1.0 - (np.arange(self.ny)[:, None] + _GAUSS_ETA) / self.ny
+    def energy(self, w, slope):
+        """Dirichlet energy of u = slope * x + w on this side, w of shape
+        (ny + 1, nx): the stiffness form w.Kw + 2 slope d.w + slope^2 area.
+
+        Every row of the full stiffness K (wall row included) sums to zero,
+        so w.Kw = -sum K_e (w_i - w_j)^2 over the forward couplings e.  That
+        edge sum does not cancel when w is nearly constant, as w.(Kw) does.
+        """
+        nx = self.nx
+        ghost = np.concatenate([w[:, -1:], w, w[:, :1]], axis=1)
         total = 0.0
-        for g, (xi, eta) in enumerate(zip(_GAUSS_XI, _GAUSS_ETA)):
-            ue = (1.0 - xi) * d_eta[:, :-1] + xi * d_eta[:, 1:]
-            ux = ((1.0 - eta) * d_xi[:-1] + eta * d_xi[1:]
-                  - t[:, g, None] * self._shear[g] * ue)
-            uy = ue * self._inv_y_eta[g]
-            total += np.sum(ux * ux + uy * uy, axis=0) @ self._weight[g]
-        return float(total)
+        for k, (dj, di) in enumerate(_FORWARD[1:], start=1):
+            rows = self.ny + 1 - dj
+            diff = w[:rows] - ghost[dj:, 1 + di:1 + di + nx]
+            total -= np.sum(self._slabs[k, 1:1 + rows, 1:-1] * diff * diff)
+        return float(total + 2.0 * slope * np.vdot(self._drift, w)
+                     + slope * slope * self._area)
 
 
 @functools.lru_cache(maxsize=16)
@@ -587,7 +589,7 @@ def _solve_sides(system, problems, slopes, rtol):
     return SlitField(system, *slopes, *rows), SolveStats.combine(rtol, parts)
 
 
-def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL, system=None):
+def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):
     """Equilibrium field: harmonic on both sides, Neumann on the cut.
 
     Dirichlet data on the walls comes from the domain's boundary data;
@@ -595,8 +597,7 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL, system=None):
     periodic correction is solved for.  Returns (SlitField, SolveStats);
     the wall rows of the result reproduce the data exactly at the nodes.
     """
-    if system is None:
-        system = StripSystem(domain, curve, grid)
+    system = StripSystem(domain, curve, grid)
     x = system.abscissae
     problems = []
     for comp, data in ((system.upper, domain.top), (system.lower, domain.bottom)):
@@ -678,12 +679,11 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
 
 
 def dirichlet_energy(field):
-    """Integral of |grad u|^2 by the assembly Gauss rule.
+    """Integral of |grad u|^2 over both sides: the stiffness form.
 
-    Using the same quadrature as the stiffness assembly makes the energy
-    of a discrete field identical to its stiffness quadratic form, so
-    energy differences and assembled quadratic forms can be compared at
-    solver accuracy.
+    The energy is read from the assembled stiffness and drift load of each
+    side (_Component.energy), so energy differences and assembled
+    quadratic forms can be compared at solver accuracy.
     """
     system = field.system
     return (system.upper.energy(field.w_upper, field.slope_upper)

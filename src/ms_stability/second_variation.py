@@ -300,8 +300,8 @@ class SecondVariationResult:
 
     value = -2 * bulk energy of v_phi + ||phi||~^2   (direct route)
     dual  = ||phi||~^2 - (T phi, phi)~
-    The two agree up to linear-solver tolerance.  The Gauss energy of v_phi
-    equals its stiffness form, so dual is the same algebra as value: an
+    The two agree up to linear-solver tolerance.  The energy of v_phi is
+    its stiffness form, so dual is the same algebra as value: an
     implementation check, not an independent one.
     """
 

@@ -172,6 +172,32 @@ def test_phase_diagram_empty_lattice(tmp_path, capsys):
                    "grid_nx,grid_ny,residual\n")
 
 
+@pytest.mark.parametrize("curve", [
+    {"mode": 1, "amplitude": 0.3}, {"heights": [0.0] * 32}])
+def test_phase_diagram_refuses_a_curve(tmp_path, capsys, curve):
+    # every lattice point is solved on the flat curve, so a configured
+    # curve would be dropped unread
+    cfg = write_config(tmp_path, "curved.json", {
+        "geometry": {"kind": "strip", "a_values": [1.0], "b_values": [1.0],
+                     "curve": curve},
+        "grid": {"nx": 32, "ny": 32}})
+    assert main(["phase-diagram", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ConfigInvalid" in captured.err and "geometry.curve" in captured.err
+
+
+def test_heights_must_match_the_grid_columns(tmp_path, capsys):
+    cfg = write_config(tmp_path, "heights.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                     "curve": {"heights": [0.0] * 16}},
+        "grid": {"nx": 32, "ny": 32}})
+    assert main(["analyze", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigInvalid" in err and "geometry.curve.heights" in err
+    assert "grid.nx = 32" in err
+
+
 def test_phase_diagram_requires_lattice(tmp_path, capsys):
     cfg = strip_config(tmp_path)
     code = main(["phase-diagram", "--config", cfg])
@@ -482,9 +508,10 @@ def test_missing_config_file(tmp_path, capsys):
       "validate": {"flow": {"kind": "spiral"}}}, "validate.flow.kind"),
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
       "output": {"format": "xml"}}, "output.format"),
+    # the sample count is grid.nx, so there is no m key to set it
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                    "curve": {"m": 32, "heights": [0.0] * 16}}},
-     "geometry.curve.heights"),
+     "unknown key geometry.curve.m"),
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                    "boundary": {"top": {"cos": [[0, 1.0]]}}}},
      "geometry.boundary.top.cos"),
@@ -583,7 +610,6 @@ NUMERIC_KEYS = [
      lambda v: strip_geometry(a_values=[1.0, v], b_values=[1.0])),
     ("geometry.b_values[0]", "positive",
      lambda v: strip_geometry(a_values=[1.0], b_values=[v])),
-    ("geometry.curve.m", ("integer", 8), lambda v: strip_geometry(curve={"m": v})),
     ("geometry.curve.heights[3]", "number",
      lambda v: strip_geometry(curve={"heights": [0.0] * 3 + [v] + [0.0] * 12})),
     ("geometry.curve.mode", ("integer", 1),

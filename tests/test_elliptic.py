@@ -122,8 +122,9 @@ def side_area(domain, curve, side):
 
 
 def check_energy_form(state, slope):
-    # For a zero-wall field v and drift slope s the Gauss-rule energy is
-    # v'Av + 2 s d'v + s^2 area on each side.
+    # For a zero-wall field v and drift slope s the energy is
+    # v'Av + 2 s d'v + s^2 area on each side: the edge sum of the stored
+    # couplings against the CSR product, an implementation check.
     curve = state.system.curve
     field, _ = ms.solve_jump_source(state, np.cos(2.0 * math.pi * curve.abscissae))
     total = 0.0
@@ -140,7 +141,7 @@ def check_energy_form(state, slope):
 
 
 def test_energy_matches_stiffness_quadratic_form(unit_strip_state):
-    # Quadrature energy of a zero-wall field equals v' A v by construction.
+    # The energy of a zero-wall field is v' A v by construction.
     check_energy_form(unit_strip_state[3], 0.0)
 
 
@@ -212,11 +213,14 @@ def reference_assembly(domain, curve, grid, side):
 
 
 @pytest.mark.parametrize("nx, ny, amplitude", (
-    (24, 16, 0.3), (16, 20, 0.0), (21, 17, 0.4)))
+    (24, 16, 0.3), (16, 20, 0.0), (21, 17, 0.4), (16, 64, 0.6), (64, 16, 0.6)))
 def test_assembly_matches_per_cell_reference(nx, ny, amplitude):
     # The column-factor assembly against the per-cell route it replaced,
     # to rounding: a_uu, the wall coupling, the drift load and the energy.
     # Odd sizes check the row shift by 1/ny and the periodic column roll.
+    # Cells 6.5x wider than tall (16 x 64) make every horizontal coupling
+    # positive, cells up to 2.5x taller than wide (64 x 16) many vertical
+    # ones, so the energy's edge sum is checked with both signs.
     domain = ms.StripDomain(0.8, 1.3, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
     curve = ms.sinusoidal_curve(1.3, nx, mode=2, amplitude=amplitude)
     system = elliptic.StripSystem(domain, curve, ms.Grid(nx, ny))
@@ -294,7 +298,7 @@ def test_solve_path_never_builds_the_nine_point_array(monkeypatch):
 
 
 def test_energy_of_analytic_mode_matches_quadrature_oracle():
-    # Compare the Gauss-rule energy of the interpolated sinh mode with an
+    # Compare the discrete energy of the interpolated sinh mode with an
     # adaptive-quadrature evaluation of the exact integral.
     import scipy.integrate
 

@@ -243,6 +243,40 @@ def test_curved_lambda1_is_invariant_under_a_cell_shift(weights, amplitude, shif
     assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0)
 
 
+def random_wall(draw, b):
+    """Wall datum s x + c + A cos(2 pi k x / b + phase), |s| in [0.5, 2]."""
+    slope = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    const, amp, phase = (draw(st.floats(-1.0, 1.0)) for _ in range(3))
+    k = draw(st.integers(1, 3))
+    return ms.BoundaryData(
+        slope, lambda x: const + amp * np.cos(2.0 * np.pi * k * x / b + phase))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_leading_eigenvalues_are_invariant_under_the_y_mirror(data):
+    # y -> -y maps the pair (top, bottom, psi) to (bottom, top, -psi): the
+    # upper mesh of one is the lower mesh of the other, mirrored, so T and
+    # its leading eigenvalues are the same.
+    draw = data.draw
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    n = draw(st.sampled_from((16, 24, 32)))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    top, bottom = random_wall(draw, b), random_wall(draw, b)
+    x = np.arange(n) * (b / n)
+    psi = sum(w * np.sin(2.0 * np.pi * k * x / b)
+              for k, w in enumerate(weights, start=1))
+    psi *= 0.3 * a / max(np.max(np.abs(psi)), 1.0)
+    values = []
+    for upper, lower, heights in ((top, bottom, psi), (bottom, top, -psi)):
+        curve = ms.GraphCurve(b, heights)
+        state, _ = ms.solve_state(ms.StripDomain(a, b, upper, lower), curve,
+                                  ms.Grid(n, n))
+        op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+        values.append(ms.leading_eigenvalues(op, count=3))
+    assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0)
+
+
 def test_dense_eigensolves_confirm_iterative_values():
     # Assemble the full discrete operators on a small grid and compare
     # lambda1 and mu, both taken from the curve-space reduction, against
