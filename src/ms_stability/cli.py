@@ -76,12 +76,10 @@ def _require_strip(cfg, command):
         raise ConfigInvalid("%s requires geometry.kind = strip" % command)
 
 
-def _strip_operator(cfg, domain, curve):
-    """Solve the state on cfg's grid; return it, its stats and T."""
+def _strip_operator(cfg, domain, curve, gram):
+    """Solve the state on cfg's grid; return it, its stats and T on gram."""
     grid = elliptic.Grid(cfg.grid_nx, cfg.grid_ny)
     state, solve_stats = elliptic.solve_state(domain, curve, grid, rtol=cfg.rtol)
-    gram = second_variation.assemble_tilde_gram(
-        curve, restriction=cfg.eigen.restriction)
     return state, solve_stats, second_variation.TOperator(state, gram,
                                                           rtol=cfg.rtol)
 
@@ -109,7 +107,8 @@ def _analyze_strip(cfg):
     geom = cfg.geometry
     domain = geom.strip_domain()
     curve = geom.curve.build(domain.period, cfg.grid_nx)
-    state, solve_stats, op = _strip_operator(cfg, domain, curve)
+    gram = second_variation.assemble_tilde_gram(curve, cfg.eigen.restriction)
+    state, solve_stats, op = _strip_operator(cfg, domain, curve, gram)
     crit = validation.criticality_residuals(state)
     lam, lam_stats = second_variation.lambda1(op)
     verdict = second_variation.verdict_from_eigenvalue(lam, band=cfg.eigen.band)
@@ -211,10 +210,9 @@ def _run_analyze(cfg):
 
 # ----------------------------------------------------------- phase-diagram
 
-def _phase_point(cfg, a, b):
+def _phase_point(cfg, a, b, curve, gram):
     domain = cfg.geometry.strip_domain(a, b)
-    state, _, op = _strip_operator(cfg, domain,
-                                   geometry.flat_curve(b, cfg.grid_nx))
+    state, _, op = _strip_operator(cfg, domain, curve, gram)
     lam, _ = second_variation.lambda1(op)
     verdict = second_variation.verdict_from_eigenvalue(lam, band=cfg.eigen.band)
     return (a, b, lam, _flat_closed_form(cfg.geometry, a, b), verdict,
@@ -227,6 +225,7 @@ def _run_phase_diagram(cfg):
 
     Each point is a small flat problem (a few ms at 64^2), so a worker
     pool costs more than it overlaps; --jobs is accepted and ignored.
+    Each distinct b builds its curve and Gram (one whitening map) once.
     """
     _require_strip(cfg, "phase-diagram")
     geom = cfg.geometry
@@ -236,7 +235,10 @@ def _run_phase_diagram(cfg):
     if geom.a_values is None or geom.b_values is None:
         raise ConfigInvalid(
             "phase-diagram needs geometry.a_values and geometry.b_values")
-    rows = [_phase_point(cfg, a, b)
+    curves = {b: geometry.flat_curve(b, cfg.grid_nx) for b in geom.b_values}
+    grams = {b: second_variation.assemble_tilde_gram(c, cfg.eigen.restriction)
+             for b, c in curves.items()}
+    rows = [_phase_point(cfg, a, b, curves[b], grams[b])
             for a in geom.a_values for b in geom.b_values]
 
     lines = [CSV_HEADER]
@@ -322,7 +324,8 @@ def _run_compare(cfg):
     # the probes use the canonical wall pair whatever geometry.boundary says
     domain = GeometrySpec("strip").strip_domain(a, b)
     curve = geometry.flat_curve(b, cfg.grid_nx)
-    _, _, op = _strip_operator(cfg, domain, curve)
+    gram = second_variation.assemble_tilde_gram(curve, cfg.eigen.restriction)
+    _, _, op = _strip_operator(cfg, domain, curve, gram)
 
     x = curve.abscissae
     mode_rows = []

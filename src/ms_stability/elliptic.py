@@ -623,6 +623,7 @@ class JumpCoupling:
         hx = curve.spacing
         j_e = geometry.element_lengths(curve) / hx
         self.nx = system.grid.nx
+        self.coefficients = {}  # side -> half the coefficient per element
         self.c_upper = self._side_matrix(state, "upper", j_e, hx, -1.0)
         self.c_lower = self._side_matrix(state, "lower", j_e, hx, +1.0)
 
@@ -630,7 +631,7 @@ class JumpCoupling:
         slope, w = state._pick(side)
         u_xi = slope + geometry.periodic_difference(w[0]) / hx
         coef = orientation * u_xi / j_e  # one value per element i -> i+1
-        half = coef / 2.0
+        half = self.coefficients[side] = coef / 2.0
         nx = self.nx
         ip = (np.arange(nx) + 1) % nx
         i = np.arange(nx)
@@ -642,6 +643,25 @@ class JumpCoupling:
         c[i, i] -= half
         c[i, ip] -= half
         return c
+
+    def dual_matrix(self, blocks):
+        """2 sum C^T X C over blocks = {side: X}, in O(nx^2).
+
+        C = sum_e half_e d_e s_e^T over the elements e -> e + 1, with
+        d_e = delta_{e+1} - delta_e and s_e = delta_e + delta_{e+1}.  Row
+        then column differences of X give d_e^T X d_f; scaled by 2 half_e
+        half_f and summed over the sides, each node then sums its two
+        adjacent elements, rows then columns.
+        """
+        i = np.arange(self.nx)
+        ip, im = (i + 1) % self.nx, (i - 1) % self.nx
+        pairs = np.zeros((self.nx, self.nx))
+        for side, x in blocks.items():
+            half = self.coefficients[side]
+            rows = x[ip] - x
+            pairs += (rows[:, ip] - rows) * np.outer(2.0 * half, half)
+        nodes = pairs + pairs[im]
+        return nodes + nodes[:, im]
 
     def loads(self, phi):
         """Right-hand sides -C[., phi] on the curve rows of both sides."""

@@ -18,16 +18,16 @@ Loads of the jump-transport problem act on the curve row only, so
     A = 2 sum_+- C+-^T (a_uu+-^-1)_00 C+-,
 
 where C+- are the coupling matrices and (a_uu^-1)_00 is the curve-row
-block of each side's inverse stiffness.  TOperator builds A once (from
-the flat-strip Fourier symbol on a flat curve, by a block sweep over the
-grid rows on a curved one), and both eigenvalues come from one
-dense generalized eigensolve of the restricted pencil (P^T A P, P^T G P):
-lambda_1 is its top eigenvalue and mu = 1 / lambda_1, so the two are
-algebraically tied rather than independent evidence.  TOperator.apply
-and the form evaluations keep the matrix-free CG route.  It solves with
-the same assembled stiffness that A is built from, so it is an
-implementation check of A (the same algebra by another algorithm), not
-independent evidence.
+block of each side's inverse stiffness.  TOperator builds A once (the
+block from the flat-strip Fourier symbol on a flat curve, by a sweep over
+the grid rows on a curved one; the two-diagonal C+- enter in O(m^2)).
+The restricted Gram's whitening map W = L^-1 P^T (L L^T = P^T G P) has
+W G W^T = I, so the pencil (P^T A P, P^T G P) has the spectrum of W A W^T
+and one eigvalsh gives both eigenvalues: lambda_1 is its top eigenvalue
+and mu = 1 / lambda_1, algebraically tied rather than independent
+evidence.  TOperator.apply and the form evaluations keep the matrix-free
+CG route, with the same assembled stiffness that A is built from: an
+implementation check of A, not independent evidence.
 """
 
 import math
@@ -44,19 +44,13 @@ RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
 def pencil_eigenvalues(a, b):
     """Eigenvalues, ascending, of the symmetric-definite pencil (a, b).
 
-    Raises numpy.linalg.LinAlgError when b is not positive definite.
+    The route of TildeGram.whitening with P = I: W = L^-1 with b = L L^T,
+    then the eigenvalues of W a W^T.  Raises numpy.linalg.LinAlgError when
+    b is not positive definite.
     """
-    return factored_pencil_eigenvalues(a, np.linalg.cholesky(b))
-
-
-def factored_pencil_eigenvalues(a, low):
-    """Eigenvalues, ascending, of the pencil (a, L L^T) given L.
-
-    The Cholesky factor reduces a x = lam L L^T x to the standard
-    symmetric problem L^-1 a L^-T y = lam y, as LAPACK's sygv does.
-    """
-    half = np.linalg.solve(low, a)
-    return np.linalg.eigvalsh(np.linalg.solve(low, half.T))
+    low = np.linalg.cholesky(b)
+    whiten = np.linalg.solve(low, np.eye(low.shape[0]))
+    return np.linalg.eigvalsh(whiten @ a @ whiten.T)
 
 
 def _restriction_basis(kind, restriction, weights):
@@ -87,9 +81,10 @@ class TildeGram:
     """Curve scalar product matrix with an optional subspace restriction.
 
     matrix is the full m x m form; basis holds orthonormal columns
-    spanning the restricted subspace, and the reduced matrix P^T G P is
-    Cholesky-factored lazily on first use (raising GramSingular if the
-    form fails to be positive definite there).
+    spanning the restricted subspace.  On first use P^T G P = L L^T is
+    factored (raising GramSingular unless positive definite there) and
+    W = L^-1 P^T is formed once: W G W^T = I, (G y, .) = r solves as
+    y = W^T W r, and a pencil (P^T A P, P^T G P) reduces to W A W^T.
     """
 
     kind: str
@@ -97,7 +92,7 @@ class TildeGram:
     weights: np.ndarray
     restriction: str
     basis: np.ndarray
-    _chol: np.ndarray = field(default=None, repr=False)
+    _whiten: np.ndarray = field(default=None, repr=False)
 
     @property
     def size(self):
@@ -119,13 +114,13 @@ class TildeGram:
         """Euclidean projection onto the restriction subspace."""
         return self.basis @ (self.basis.T @ np.asarray(vec, dtype=float))
 
-    def cholesky(self):
-        """Lower Cholesky factor of P^T G P, computed once; raises
-        GramSingular."""
-        if self._chol is None:
+    def whitening(self):
+        """W = L^-1 P^T, (k, m), with L L^T = P^T G P; computed once by one
+        solve with the factor, and raises GramSingular."""
+        if self._whiten is None:
             reduced = self.basis.T @ self.matrix @ self.basis
             try:
-                chol = np.linalg.cholesky(reduced)
+                low = np.linalg.cholesky(reduced)
             except np.linalg.LinAlgError as exc:
                 raise GramSingular(
                     "scalar product is not positive definite under "
@@ -133,20 +128,19 @@ class TildeGram:
                 ) from exc
             # Cholesky can numerically succeed on a singular form (the
             # zero pivot lands on rounding noise); reject those too.
-            pivots = np.abs(np.diag(chol))
+            pivots = np.abs(np.diag(low))
             if pivots.size and (pivots.min() / pivots.max()) ** 2 < 1e-12:
                 raise GramSingular(
                     "scalar product is numerically singular under "
                     "restriction %r" % self.restriction
                 )
-            self._chol = chol
-        return self._chol
+            self._whiten = np.linalg.solve(low, self.basis.T)
+        return self._whiten
 
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
-        low = self.cholesky()
-        half = np.linalg.solve(low, self.basis.T @ np.asarray(rhs, float))
-        return self.basis @ np.linalg.solve(low.T, half)
+        whiten = self.whitening()
+        return whiten.T @ (whiten @ np.asarray(rhs, float))
 
 
 def assemble_tilde_gram(config, restriction=None, m=None):
@@ -238,32 +232,30 @@ class TOperator:
     def dual_matrix(self):
         """Dense A with A @ phi the dual vector r of apply(phi).
 
-        A = 2 sum C^T (a_uu^-1)_00 C over both sides; a side with zero
+        A = 2 sum C^T (a_uu^-1)_00 C over both sides, formed in O(m^2)
+        from the coupling's element coefficients; a side with zero
         coupling contributes nothing and skips its curve block.
         """
         if self._dual_matrix is None:
-            mat = np.zeros((self.gram.size, self.gram.size))
-            for comp, c in ((self.system.upper, self.coupling.c_upper),
-                            (self.system.lower, self.coupling.c_lower)):
-                if np.any(c):
-                    mat += 2.0 * c.T @ (comp.curve_block_inverse() @ c)
-            self._dual_matrix = mat
+            self._dual_matrix = self.coupling.dual_matrix(
+                {comp.side: comp.curve_block_inverse()
+                 for comp in (self.system.upper, self.system.lower)
+                 if np.any(self.coupling.coefficients[comp.side])})
         return self._dual_matrix
 
     def spectrum(self):
         """(eigenvalues of T on the restriction subspace, descending; note).
 
-        One dense eigensolve of the pencil (P^T A P, P^T G P), cached;
+        One eigvalsh of W A W^T with the Gram's whitening map W, cached;
         raises GramSingular if the restricted Gram is not definite.
         """
         if self._spectrum is None:
-            low = self.gram.cholesky()
+            whiten = self.gram.whitening()
             mat = self.dual_matrix
             if not np.any(mat):
-                self._spectrum = (np.zeros(low.shape[0]), "operator is zero")
+                self._spectrum = (np.zeros(whiten.shape[0]), "operator is zero")
             else:
-                p = self.gram.basis
-                values = factored_pencil_eigenvalues(p.T @ mat @ p, low)
+                values = np.linalg.eigvalsh(whiten @ mat @ whiten.T)
                 self._spectrum = (values[::-1], "")
         return self._spectrum
 

@@ -12,6 +12,7 @@ import textwrap
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import ms_stability
@@ -160,6 +161,38 @@ def test_phase_diagram_runs_every_point_on_the_calling_thread(
         outputs.append(out.read_bytes())
     assert threads == [threading.get_ident()] * 12
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_phase_diagram_shares_one_gram_per_distinct_period(
+        tmp_path, capsys, monkeypatch):
+    # b_values unsorted with a duplicate: one Cholesky factor per distinct
+    # b, rows in a-major order, and each row's lambda_1 equal to that of
+    # a one-point analyze, which builds its own Gram.
+    a_values, b_values = [0.5, 1.0, 2.0], [2.0, 0.5, 2.0]
+    cfg = write_config(tmp_path, "lattice.json", {
+        "geometry": {"kind": "strip", "a_values": a_values,
+                     "b_values": b_values},
+        "grid": {"nx": 32, "ny": 32}})
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(mat):
+        factored.append(mat.shape)
+        return cholesky(mat)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    assert main(["phase-diagram", "--config", cfg]) == 0
+    assert len(factored) == 2
+    monkeypatch.undo()
+    rows = [line.split(",") for line in
+            capsys.readouterr().out.splitlines()[1:]]
+    assert [(float(r[0]), float(r[1])) for r in rows] == \
+        [(a, b) for a in a_values for b in b_values]
+    for row in rows:
+        a, b = float(row[0]), float(row[1])
+        _, report = run_json(capsys, ["analyze", "--config",
+                                      strip_config(tmp_path, a, b)])
+        assert row[2] == cli._fmt(report["results"]["lambda1"]["value"])
 
 
 def test_phase_diagram_empty_lattice(tmp_path, capsys):

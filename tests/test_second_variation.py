@@ -206,7 +206,7 @@ def test_leading_pair_is_degenerate_then_drops_to_next_mode():
 
 def test_one_operator_factors_its_restricted_gram_once(monkeypatch):
     # lambda1, mu and the leading eigenvalues share one eigensolve, whose
-    # pencil reuses the Cholesky factor the Gram already holds.
+    # pencil is whitened by the map the Gram already holds.
     op = make_operator(1.0, 1.0, 32)
     factored = []
     cholesky = np.linalg.cholesky
@@ -216,10 +216,21 @@ def test_one_operator_factors_its_restricted_gram_once(monkeypatch):
         return cholesky(mat)
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    solved = []
+    solve = np.linalg.solve
+
+    def counting_solve(mat, rhs):
+        solved.append((mat.shape, rhs.shape))
+        return solve(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
     ms.lambda1(op)
     ms.mu(op)
     ms.leading_eigenvalues(op, 3)
+    op.gram.apply_inverse(np.ones(32))
     assert factored == [(31, 31)]
+    # one whitening solve, W = L^-1 P^T, serves the spectrum and the inverse
+    assert solved == [((31, 31), (31, 32))]
 
 
 @settings(max_examples=6, deadline=None)
@@ -275,6 +286,63 @@ def test_leading_eigenvalues_are_invariant_under_the_y_mirror(data):
         op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
         values.append(ms.leading_eigenvalues(op, count=3))
     assert values[1] == pytest.approx(values[0], rel=1e-12, abs=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_whitened_pencil_is_symmetric_psd_and_matches_sygvd(data):
+    # W = L^-1 P^T must whiten the restricted Gram, and W A W^T must be a
+    # symmetric PSD matrix with the eigenvalues of the pencil
+    # (P^T A P, P^T G P), for which SciPy's LAPACK sygvd is the independent
+    # reference.  d2F[1] = 0 is not asserted: it holds at critical pairs
+    # only, and random walls and curves are not critical.
+    draw = data.draw
+    a, b = draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 2.0))
+    n = draw(st.sampled_from((16, 24, 32)))
+    weights = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    top, bottom = random_wall(draw, b), random_wall(draw, b)
+    x = np.arange(n) * (b / n)
+    psi = sum(w * np.sin(2.0 * np.pi * k * x / b)
+              for k, w in enumerate(weights, start=1))
+    psi *= 0.3 * a / max(np.max(np.abs(psi)), 1.0)
+    curve = ms.GraphCurve(b, psi)
+    state, _ = ms.solve_state(ms.StripDomain(a, b, top, bottom), curve,
+                              ms.Grid(n, n))
+    for restriction in ("mean_zero", "endpoint_zero"):
+        gram = ms.assemble_tilde_gram(curve, restriction=restriction)
+        op = ms.TOperator(state, gram)
+        w = gram.whitening()
+        p, mat = gram.basis, op.dual_matrix
+        np.testing.assert_allclose(w @ gram.matrix @ w.T, np.eye(p.shape[1]),
+                                   rtol=0, atol=1e-10)
+        whitened = w @ mat @ w.T
+        scale = np.max(np.abs(whitened))
+        assert np.max(np.abs(whitened - whitened.T)) <= 1e-13 * scale
+        values = op.spectrum()[0][::-1]
+        assert values[0] >= -1e-12 * values[-1]
+        ref = scipy.linalg.eigh(p.T @ mat @ p, p.T @ gram.matrix @ p,
+                                eigvals_only=True)
+        np.testing.assert_allclose(values, ref, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("m", [16, 17, 64])
+@pytest.mark.parametrize("amplitude", [0.0, 0.08])
+def test_coupling_dual_matrix_matches_the_dense_product(m, amplitude):
+    # Implementation check, not an independent one: 2 C^T X C from the
+    # coupling's element coefficients in O(m^2) against the dense product
+    # with the C built from the same coefficients.  On the curved state the
+    # coefficients vary along the curve.
+    curve = ms.sinusoidal_curve(1.0, m, mode=1, amplitude=amplitude)
+    state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(m, m))
+    coupling = elliptic.JumpCoupling(state)
+    assert (np.ptp(coupling.coefficients["upper"]) > 1e-6) == (amplitude > 0.0)
+    y = np.random.default_rng(m).standard_normal((m, m))
+    x = y + y.T
+    for side, c in (("upper", coupling.c_upper), ("lower", coupling.c_lower)):
+        dense = 2.0 * c.T @ x @ c
+        got = coupling.dual_matrix({side: x})
+        assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 def test_dense_eigensolves_confirm_iterative_values():
