@@ -42,6 +42,7 @@ only by the two routines that need it: the curved-mesh row sweep's
 symmetric inverse and the CSR matrix a_uu.
 """
 
+import copy
 import functools
 from dataclasses import dataclass
 
@@ -174,6 +175,9 @@ class _Component:
     neighbour (_slab_of), so the operator is exactly symmetric.  _apply
     reads the nine couplings of the unknown rows as contiguous runs of the
     flattened slabs; energy reads the forward couplings of all rows.
+
+    side picks the wall, +a or -a; after that it only names the side in
+    stats and messages, since the midline's lower side is the upper one.
     """
 
     def __init__(self, domain, curve, grid, side):
@@ -221,6 +225,8 @@ class _Component:
         self._slabs[..., 0] = self._slabs[..., nx]
         self._slabs[..., -1] = self._slabs[..., 1]
         self._drift = powers[1:] @ block[60:, 1:-1]
+        # Read-only, as are the views below: both sides may share them.
+        self._slabs.flags.writeable = self._drift.flags.writeable = False
         self.drift_load = self._drift[:-1].ravel()  # the unknown rows, a view
         self._area = ny * float(np.sum(weight))
 
@@ -258,7 +264,9 @@ class _Component:
         lam += np.outer(stiff_y / hy, hx * mass_x / 6.0)
         self._cos_y = _cosine_basis(ny)  # (j, k)
         self._inv_eig = np.divide(2.0 / ny, lam, out=lam)  # (ny, nx//2 + 1)
+        self._inv_eig.flags.writeable = False
         self._flat = bool(np.all(psi == psi[0]))
+        self._curve_block = []  # curve_block_inverse, once computed
 
     def _coupling(self, dj, di):
         """(ny, nx) view: the coupling of node (j, i) to (j + dj, i + di)."""
@@ -383,13 +391,19 @@ class _Component:
         On a flat curve (all heights equal) the flat-strip inverse above is
         exact and its cosine basis is 1 on the curve row, so the block is
         the circulant whose symbol is the column sum of _inv_eig.  A curved
-        mesh takes the row sweep.
+        mesh takes the row sweep.  Computed once, kept read-only, and
+        shared with the lower side on the midline (StripSystem).
         """
-        if self._flat:
-            column = np.fft.irfft(self._inv_eig.sum(axis=0), n=self.nx)
-            i = np.arange(self.nx)
-            return column[(i[:, None] - i) % self.nx]
-        return self._row_sweep()
+        if not self._curve_block:
+            if self._flat:
+                column = np.fft.irfft(self._inv_eig.sum(axis=0), n=self.nx)
+                i = np.arange(self.nx)
+                block = column[(i[:, None] - i) % self.nx]
+            else:
+                block = self._row_sweep()
+            block.flags.writeable = False
+            self._curve_block.append(block)
+        return self._curve_block[0]
 
     def _row_sweep(self):
         """(a_uu^-1)_00 by block elimination over the grid rows.
@@ -511,7 +525,13 @@ def _sym_inverse(mat):
 
 
 class StripSystem:
-    """Assembled elliptic systems for both components of a slit strip."""
+    """Assembled elliptic systems for both components of a slit strip.
+
+    The lower side of psi assembles to the same arrays, bit for bit, as
+    the upper side of -psi.  On the midline (every height zero) the lower
+    side is therefore a shallow copy of the upper one, named "lower": one
+    assembly and one curve block serve both, and each still solves.
+    """
 
     def __init__(self, domain, curve, grid):
         if curve.m != grid.nx:
@@ -524,7 +544,11 @@ class StripSystem:
         self.curve = curve
         self.grid = grid
         self.upper = _Component(domain, curve, grid, "upper")
-        self.lower = _Component(domain, curve, grid, "lower")
+        if np.any(curve.heights):
+            self.lower = _Component(domain, curve, grid, "lower")
+        else:
+            self.lower = copy.copy(self.upper)
+            self.lower.side = "lower"
 
     @property
     def abscissae(self):
@@ -623,16 +647,18 @@ class JumpCoupling:
         hx = curve.spacing
         j_e = geometry.element_lengths(curve) / hx
         self.nx = system.grid.nx
-        self.coefficients = {}  # side -> half the coefficient per element
-        self.c_upper = self._side_matrix(state, "upper", j_e, hx, -1.0)
-        self.c_lower = self._side_matrix(state, "lower", j_e, hx, +1.0)
+        self.coefficients = {}  # side -> half_i, one per element i -> i+1
+        for side, orientation in (("upper", -1.0), ("lower", +1.0)):
+            slope, w = state._pick(side)
+            u_xi = slope + geometry.periodic_difference(w[0]) / hx
+            self.coefficients[side] = orientation * u_xi / j_e / 2.0
 
-    def _side_matrix(self, state, side, j_e, hx, orientation):
-        slope, w = state._pick(side)
-        u_xi = slope + geometry.periodic_difference(w[0]) / hx
-        coef = orientation * u_xi / j_e  # one value per element i -> i+1
-        half = self.coefficients[side] = coef / 2.0
-        nx = self.nx
+    # Each side's dense (nx, nx) C, built on first use.
+    c_upper = functools.cached_property(lambda self: self._side_matrix("upper"))
+    c_lower = functools.cached_property(lambda self: self._side_matrix("lower"))
+
+    def _side_matrix(self, side):
+        half, nx = self.coefficients[side], self.nx
         ip = (np.arange(nx) + 1) % nx
         i = np.arange(nx)
         c = np.zeros((nx, nx))
@@ -674,7 +700,10 @@ class JumpCoupling:
         return -2.0 * (self.c_upper.T @ vp + self.c_lower.T @ vm)
 
     def magnitude(self):
-        return max(np.max(np.abs(self.c_upper)), np.max(np.abs(self.c_lower)))
+        """Largest |entry| of both C: +-half_i off the diagonal, and
+        half_i-1 - half_i on it."""
+        return max(max(np.max(np.abs(h)), np.max(np.abs(np.roll(h, 1) - h)))
+                   for h in self.coefficients.values())
 
 
 def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):

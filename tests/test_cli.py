@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ms_stability
-from ms_stability import cli
+from ms_stability import cli, elliptic
 from ms_stability.analytic_oracle import lambda1_strip, mode_lambda
 from ms_stability.cli import main
 from ms_stability.config import parse_config
@@ -161,6 +161,26 @@ def test_phase_diagram_runs_every_point_on_the_calling_thread(
         outputs.append(out.read_bytes())
     assert threads == [threading.get_ident()] * 12
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_phase_diagram_assembles_one_side_per_point(tmp_path, capsys, monkeypatch):
+    # Every lattice point is the midline, whose lower side is the upper
+    # one, so a 2 x 2 lattice assembles four sides, not eight.
+    cfg = write_config(tmp_path, "lattice.json", {
+        "geometry": {"kind": "strip", "a_values": [0.5, 1.0],
+                     "b_values": [1.0, 2.0]},
+        "grid": {"nx": 16, "ny": 16}})
+    sides = []
+    init = elliptic._Component.__init__
+
+    def counting_init(self, *args):
+        sides.append(args[-1])
+        init(self, *args)
+
+    monkeypatch.setattr(elliptic._Component, "__init__", counting_init)
+    assert main(["phase-diagram", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+    assert sides == ["upper"] * 4
 
 
 def test_phase_diagram_shares_one_gram_per_distinct_period(

@@ -498,3 +498,82 @@ def test_unattainable_rtol_raises_instead_of_spinning(amplitude):
     with pytest.raises(SolverDiverged, match="stalled"):
         ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32),
                        rtol=1e-20)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.sampled_from((16, 17, 24, 32)),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+def test_lower_side_of_psi_is_the_upper_side_of_minus_psi(a, b, n, weights):
+    # y -> -y maps the lower mesh of psi onto the upper mesh of -psi, and
+    # the assembly rounds both the same way, so the arrays agree bit for
+    # bit.  psi = 0 is the fixed point StripSystem shares a side on.
+    x = np.arange(n) * (b / n)
+    psi = sum(w * np.sin(2.0 * np.pi * k * x / b)
+              for k, w in enumerate(weights, start=1))
+    psi *= 0.3 * a / max(np.max(np.abs(psi)), 1.0)
+    grid = ms.Grid(n, 20)
+    lower = elliptic._Component(drift_domain(a, b), ms.GraphCurve(b, psi), grid,
+                                "lower")
+    upper = elliptic._Component(drift_domain(a, b), ms.GraphCurve(b, -psi), grid,
+                                "upper")
+    for name in ("_slabs", "_drift", "_inv_eig"):
+        assert np.array_equal(getattr(lower, name), getattr(upper, name)), name
+    assert lower._area == upper._area
+
+
+def test_only_the_midline_shares_a_side():
+    grid = ms.Grid(32, 32)
+    heights = np.zeros(32)
+    flat = elliptic.StripSystem(drift_domain(), ms.GraphCurve(1.0, heights), grid)
+    assert (flat.upper.side, flat.lower.side) == ("upper", "lower")
+    assert np.shares_memory(flat.upper._slabs, flat.lower._slabs)
+    assert flat.lower.curve_block_inverse() is flat.upper.curve_block_inverse()
+    heights[7] = 1e-3
+    # One raised node, and a flat line off the midline: both build two sides.
+    for psi in (heights, np.full(32, 0.1)):
+        other = elliptic.StripSystem(drift_domain(), ms.GraphCurve(1.0, psi), grid)
+        for name in ("_slabs", "_drift", "_inv_eig"):
+            assert not np.shares_memory(getattr(other.upper, name),
+                                        getattr(other.lower, name)), name
+        assert not np.shares_memory(other.upper.curve_block_inverse(),
+                                    other.lower.curve_block_inverse())
+
+
+def test_shared_arrays_are_read_only():
+    system = elliptic.StripSystem(drift_domain(), ms.flat_curve(1.0, 16),
+                                  ms.Grid(16, 16))
+    for comp in (system.upper, system.lower):
+        arrays = [comp._slabs, comp._drift, comp.drift_load, comp._inv_eig,
+                  comp.curve_block_inverse()] + [coef for _, coef in comp._terms]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def overtone_domain(a, b):
+    """Drift data with cos and sin overtones on both walls."""
+    k = 2.0 * math.pi / b
+    return ms.StripDomain(
+        a, b,
+        ms.BoundaryData(1.0, lambda x: 1.0 + 0.5 * np.cos(k * x)
+                        + 0.25 * np.sin(3.0 * k * x)),
+        ms.BoundaryData(-1.0, lambda x: 0.3 * np.cos(2.0 * k * x)
+                        - 0.5 * np.sin(k * x)),
+    )
+
+
+def test_shared_lower_side_solves_as_a_separately_built_one():
+    # Under the canonical data the lower load is zero and its CG never
+    # runs; overtones on the bottom wall give the shared side a real solve.
+    a, b, n = 0.8, 1.3, 32
+    domain, curve, grid = overtone_domain(a, b), ms.flat_curve(b, n), ms.Grid(n, n)
+    field, stats = ms.solve_state(domain, curve, grid)
+    assert [part.side for part in stats.components] == ["upper", "lower"]
+    assert stats.components[1].iterations > 0
+    alone = elliptic._Component(domain, curve, grid, "lower")
+    wall = domain.bottom.sample(curve.abscissae)
+    rhs = -domain.bottom.slope * alone.drift_load - alone.wall_coupling(wall)
+    w, _ = alone.solve(rhs, elliptic.DEFAULT_RTOL)
+    assert np.array_equal(field.w_lower[:-1].ravel(), w)
+    assert np.array_equal(field.system.lower.curve_block_inverse(),
+                          alone.curve_block_inverse())

@@ -557,3 +557,37 @@ def test_verdict_bands():
     assert ms.verdict_from_min_eig(0.4) == "strictly_stable"
     assert ms.verdict_from_min_eig(-0.4) == "unstable"
     assert ms.verdict_from_min_eig(0.0) == "marginal"
+
+
+def test_flat_spectrum_inverts_one_curve_block(monkeypatch):
+    # On the midline both sides are one assembly, so the flat curve block
+    # (one irfft) is formed once for the two of them.
+    _, curve, _, state, _ = flat_setup(1.0, 1.0, 32)
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+    assert all(np.any(c) for c in op.coupling.coefficients.values())
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    op.spectrum()
+    assert calls == [(17,)]  # the symbol of one 32-column circulant
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 0.08])
+def test_coupling_magnitude_needs_no_dense_matrix(amplitude):
+    # lambda1 and mu read the coefficients only; the dense C of each side
+    # is built when something reads it, and its largest entry is the
+    # magnitude mu tests.
+    curve = ms.sinusoidal_curve(1.0, 24, mode=1, amplitude=amplitude)
+    state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(24, 24))
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+    ms.lambda1(op)
+    ms.mu(op)
+    coupling = op.coupling
+    assert "c_upper" not in vars(coupling) and "c_lower" not in vars(coupling)
+    dense = max(np.max(np.abs(coupling.c_upper)), np.max(np.abs(coupling.c_lower)))
+    assert coupling.magnitude() == dense > 0.0
