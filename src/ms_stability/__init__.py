@@ -49,6 +49,7 @@ from .second_variation import (
     leading_eigenvalues,
     mu,
     second_variation_value,
+    segment_min_eig,
     verdict_from_eigenvalue,
     verdict_from_min_eig,
 )
@@ -56,7 +57,6 @@ from .analytic_oracle import (
     lambda1_strip,
     mode_lambda,
     mode_trace_slope,
-    segment_min_eig,
     strip_mode_field,
 )
 from .validation import (

@@ -10,15 +10,14 @@ so the leading eigenvalue is lambda_1 = (2 b / pi) * tanh(2 pi a / b)
 and the flat pair is strictly stable exactly when that value is below
 one.  The matching bulk fields are sin * sinh separated modes, also
 provided here for solver cross-checks (state_probe_error and
-jump_probe_error measure both solvers against them), together with a
-dense generalized eigensolve for the straight-segment quadratic form.
+jump_probe_error measure both solvers against them).
 """
 
 import math
 
 import numpy as np
 
-from . import elliptic, geometry, second_variation
+from . import elliptic, geometry
 from .errors import OddMode
 
 # tanh(t) for t >= 20 equals 1 to well below double rounding.
@@ -30,6 +29,16 @@ def _check_strip(a, b):
         raise ValueError("strip parameters must be positive and finite")
 
 
+def _check_mode(n):
+    """n as an int; ValueError unless an integer >= 2, OddMode if odd."""
+    if int(n) != n or n < 2:
+        raise ValueError("mode index must be an integer >= 2")
+    n = int(n)
+    if n % 2 != 0:
+        raise OddMode("mode index %d is odd; periodicity forces even modes" % n)
+    return n
+
+
 def mode_lambda(n, a, b):
     """Eigenvalue of the mode cos(n pi x / b) on the flat interface.
 
@@ -38,11 +47,7 @@ def mode_lambda(n, a, b):
     the asymptote 4 b / (n pi) is returned.
     """
     _check_strip(a, b)
-    if int(n) != n or n < 2:
-        raise ValueError("mode index must be an integer >= 2")
-    n = int(n)
-    if n % 2 != 0:
-        raise OddMode("mode index %d is odd; periodicity forces even modes" % n)
+    n = _check_mode(n)
     t = n * math.pi * a / b
     factor = 1.0 if t > _TANH_SATURATION else math.tanh(t)
     return 4.0 * b / (n * math.pi) * factor
@@ -61,12 +66,9 @@ def strip_mode_field(n, amplitude, domain, grid):
     harmonic, vanishes on the walls, and is even in y.
     """
     _check_strip(domain.half_height, domain.period)
-    if int(n) != n or n < 2:
-        raise ValueError("mode index must be an integer >= 2")
-    if int(n) % 2 != 0:
-        raise OddMode("mode index %d is odd; periodicity forces even modes" % int(n))
+    n = _check_mode(n)
     a = domain.half_height
-    k = int(n) * math.pi / domain.period
+    k = n * math.pi / domain.period
     curve = geometry.flat_curve(domain.period, grid.nx)
     system = elliptic.StripSystem(domain, curve, grid)
     x = system.abscissae
@@ -127,28 +129,3 @@ def jump_probe_error(domain, n):
     ref = strip_mode_field(2, 1.0 / math.cosh(2.0 * math.pi * a / b), domain, grid)
     return (np.max(np.abs(field.w_upper - ref.w_upper)),
             np.max(np.abs(field.w_lower - ref.w_lower)))
-
-
-def segment_min_eig(config, m=200):
-    """Smallest eigenvalue of the segment form, H1-normalized.
-
-    Dense generalized eigensolve of the segment curve form
-    K - h1 e_0 e_0' - h2 e_L e_L' (from assemble_tilde_gram) against
-    M + K with P1 elements on m nodes; the sign decides stability of the
-    straight-segment critical pair.
-    """
-    if m < 16:
-        raise ValueError("need at least 16 nodes for the segment eigensolve")
-    form = second_variation.assemble_tilde_gram(
-        config, restriction="none", m=m).matrix
-    # Zero row sums of the P1 stiffness: each end diagonal entry is minus
-    # its off-diagonal neighbour, which the wall terms leave untouched.
-    stiff = form.copy()
-    stiff[0, 0] = -form[0, 1]
-    stiff[-1, -1] = -form[-1, -2]
-    h = config.length / (m - 1)
-    mass_main = np.full(m, 4.0 * h / 6.0)
-    mass_main[0] = mass_main[-1] = 2.0 * h / 6.0
-    mass = np.diag(mass_main) + np.diag(np.full(m - 1, h / 6.0), 1) \
-        + np.diag(np.full(m - 1, h / 6.0), -1)
-    return float(second_variation.pencil_eigenvalues(form, mass + stiff)[0])

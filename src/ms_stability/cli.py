@@ -176,7 +176,7 @@ def _segment_report(cfg, command):
     """Verdict report shared by analyze and oracle on a segment."""
     geom = cfg.geometry
     seg = geom.segment()
-    min_eig = analytic_oracle.segment_min_eig(seg, m=geom.m)
+    min_eig = second_variation.segment_min_eig(seg, m=geom.m)
     verdict = second_variation.verdict_from_min_eig(min_eig, band=cfg.eigen.band)
     report = {
         "command": command,

@@ -638,7 +638,10 @@ class JumpCoupling:
     Encodes C[z, phi] = -int (z_x u_x phi / J) dx summed over both sides
     with the lower side entering with opposite sign, discretized with
     element-constant tangential derivatives and element-average phi.
-    The matrices map a perturbation phi to loads on the curve-row nodes.
+    Each side's C = sum_e half_e d_e s_e^T over the elements e -> e + 1,
+    with d_e = delta_{e+1} - delta_e and s_e = delta_e + delta_{e+1}, is
+    stored as its element coefficients half_e only; every product with
+    C is an element sum.
     """
 
     def __init__(self, state):
@@ -653,31 +656,12 @@ class JumpCoupling:
             u_xi = slope + geometry.periodic_difference(w[0]) / hx
             self.coefficients[side] = orientation * u_xi / j_e / 2.0
 
-    # Each side's dense (nx, nx) C, built on first use.
-    c_upper = functools.cached_property(lambda self: self._side_matrix("upper"))
-    c_lower = functools.cached_property(lambda self: self._side_matrix("lower"))
-
-    def _side_matrix(self, side):
-        half, nx = self.coefficients[side], self.nx
-        ip = (np.arange(nx) + 1) % nx
-        i = np.arange(nx)
-        c = np.zeros((nx, nx))
-        # z-pattern (delta_{i+1} - delta_i), phi-pattern (delta_i + delta_{i+1})/2;
-        # each line's (row, column) pairs are distinct, as += requires
-        c[ip, i] += half
-        c[ip, ip] += half
-        c[i, i] -= half
-        c[i, ip] -= half
-        return c
-
     def dual_matrix(self, blocks):
         """2 sum C^T X C over blocks = {side: X}, in O(nx^2).
 
-        C = sum_e half_e d_e s_e^T over the elements e -> e + 1, with
-        d_e = delta_{e+1} - delta_e and s_e = delta_e + delta_{e+1}.  Row
-        then column differences of X give d_e^T X d_f; scaled by 2 half_e
-        half_f and summed over the sides, each node then sums its two
-        adjacent elements, rows then columns.
+        Row then column differences of X give d_e^T X d_f; scaled by
+        2 half_e half_f and summed over the sides, each node then sums
+        its two adjacent elements, rows then columns.
         """
         i = np.arange(self.nx)
         ip, im = (i + 1) % self.nx, (i - 1) % self.nx
@@ -690,14 +674,22 @@ class JumpCoupling:
         return nodes + nodes[:, im]
 
     def loads(self, phi):
-        """Right-hand sides -C[., phi] on the curve rows of both sides."""
-        return -self.c_upper @ phi, -self.c_lower @ phi
+        """Right-hand sides -C[., phi] on the curve rows of both sides: node
+        i takes g_i - g_i-1 with g_e = half_e s_e . phi, O(nx) per side."""
+        sums = phi + np.roll(phi, -1)
+        out = []
+        for side in ("upper", "lower"):
+            g = self.coefficients[side] * sums
+            out.append(g - np.roll(g, 1))
+        return tuple(out)
 
     def dual_vector(self, field):
-        """r with r . psi = -2 C[v, psi] for a solved perturbation field v."""
-        vp = field.w_upper[0]
-        vm = field.w_lower[0]
-        return -2.0 * (self.c_upper.T @ vp + self.c_lower.T @ vm)
+        """r with r . psi = -2 C[v, psi] for a solved perturbation field v:
+        node i takes -2 (q_i + q_i-1) with q_e = sum_+- half_e d_e . v."""
+        q = sum(self.coefficients[side]
+                * geometry.periodic_difference(field._pick(side)[1][0])
+                for side in ("upper", "lower"))
+        return -2.0 * (q + np.roll(q, 1))
 
     def magnitude(self):
         """Largest |entry| of both C: +-half_i off the diagonal, and

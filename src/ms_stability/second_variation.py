@@ -20,14 +20,15 @@ Loads of the jump-transport problem act on the curve row only, so
 where C+- are the coupling matrices and (a_uu^-1)_00 is the curve-row
 block of each side's inverse stiffness.  TOperator builds A once (the
 block from the flat-strip Fourier symbol on a flat curve, by a sweep over
-the grid rows on a curved one; the two-diagonal C+- enter in O(m^2)).
-The restricted Gram's whitening map W = L^-1 P^T (L L^T = P^T G P) has
-W G W^T = I, so the pencil (P^T A P, P^T G P) has the spectrum of W A W^T
-and one eigvalsh gives both eigenvalues: lambda_1 is its top eigenvalue
-and mu = 1 / lambda_1, algebraically tied rather than independent
-evidence.  TOperator.apply and the form evaluations keep the matrix-free
-CG route, with the same assembled stiffness that A is built from: an
-implementation check of A, not independent evidence.
+the grid rows on a curved one; C+- enter by their element coefficients
+in O(m^2)).  One whitening W = L^-1 P^T (L L^T = P^T G P) serves every
+pencil, the segment's P1 pencil (P = I) included: W G W^T = I, so
+(P^T A P, P^T G P) has the spectrum of W A W^T and one eigvalsh gives
+both eigenvalues: lambda_1 is its top eigenvalue and mu = 1 / lambda_1,
+algebraically tied rather than independent evidence.  TOperator.apply,
+rayleigh and second_variation_value share one matrix-free step (a CG
+transport solve and its pairing) with the same assembled stiffness that
+A is built from: an implementation check of A, not independent evidence.
 """
 
 import math
@@ -41,15 +42,36 @@ from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
 
 
+def _whitening(reduced, basis_t, restriction):
+    """W = L^-1 P^T, (k, m), from reduced = P^T G P = L L^T and basis_t =
+    P^T, by one solve with the factor; raises GramSingular unless reduced
+    is positive definite."""
+    try:
+        low = np.linalg.cholesky(reduced)
+    except np.linalg.LinAlgError as exc:
+        raise GramSingular(
+            "scalar product is not positive definite under "
+            "restriction %r" % restriction
+        ) from exc
+    # Cholesky can numerically succeed on a singular form (the zero pivot
+    # lands on rounding noise); reject those too.
+    pivots = np.abs(np.diag(low))
+    if pivots.size and (pivots.min() / pivots.max()) ** 2 < 1e-12:
+        raise GramSingular(
+            "scalar product is numerically singular under "
+            "restriction %r" % restriction
+        )
+    return np.linalg.solve(low, basis_t)
+
+
 def pencil_eigenvalues(a, b):
     """Eigenvalues, ascending, of the symmetric-definite pencil (a, b).
 
-    The route of TildeGram.whitening with P = I: W = L^-1 with b = L L^T,
-    then the eigenvalues of W a W^T.  Raises numpy.linalg.LinAlgError when
-    b is not positive definite.
+    The whitening of TildeGram with P = I: W = L^-1 with b = L L^T, then
+    the eigenvalues of W a W^T.  Raises GramSingular when b is not
+    positive definite.
     """
-    low = np.linalg.cholesky(b)
-    whiten = np.linalg.solve(low, np.eye(low.shape[0]))
+    whiten = _whitening(b, np.eye(b.shape[0]), "none")
     return np.linalg.eigvalsh(whiten @ a @ whiten.T)
 
 
@@ -115,32 +137,33 @@ class TildeGram:
         return self.basis @ (self.basis.T @ np.asarray(vec, dtype=float))
 
     def whitening(self):
-        """W = L^-1 P^T, (k, m), with L L^T = P^T G P; computed once by one
-        solve with the factor, and raises GramSingular."""
+        """W = L^-1 P^T, (k, m), with L L^T = P^T G P; computed once, and
+        raises GramSingular."""
         if self._whiten is None:
-            reduced = self.basis.T @ self.matrix @ self.basis
-            try:
-                low = np.linalg.cholesky(reduced)
-            except np.linalg.LinAlgError as exc:
-                raise GramSingular(
-                    "scalar product is not positive definite under "
-                    "restriction %r" % self.restriction
-                ) from exc
-            # Cholesky can numerically succeed on a singular form (the
-            # zero pivot lands on rounding noise); reject those too.
-            pivots = np.abs(np.diag(low))
-            if pivots.size and (pivots.min() / pivots.max()) ** 2 < 1e-12:
-                raise GramSingular(
-                    "scalar product is numerically singular under "
-                    "restriction %r" % self.restriction
-                )
-            self._whiten = np.linalg.solve(low, self.basis.T)
+            self._whiten = _whitening(self.basis.T @ self.matrix @ self.basis,
+                                      self.basis.T, self.restriction)
         return self._whiten
 
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
         whiten = self.whitening()
         return whiten.T @ (whiten @ np.asarray(rhs, float))
+
+
+def _segment_p1(config, m):
+    """(form, stiffness, mass) of P1 elements on m nodes of [0, L]: sums
+    of the element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6;
+    the form is the stiffness minus the endpoint curvature terms."""
+    h = config.length / (m - 1)
+    count = np.full(m, 2.0)  # elements meeting at each node
+    count[0] = count[-1] = 1.0
+    adjacent = np.eye(m, k=1) + np.eye(m, k=-1)
+    stiff = (np.diag(count) - adjacent) / h
+    mass = (np.diag(2.0 * count) + adjacent) * h / 6.0
+    form = stiff.copy()
+    form[0, 0] -= config.h1
+    form[-1, -1] -= config.h2
+    return form, stiff, mass
 
 
 def assemble_tilde_gram(config, restriction=None, m=None):
@@ -180,13 +203,8 @@ def assemble_tilde_gram(config, restriction=None, m=None):
             m = 128
         if m < 8:
             raise ValueError("segment needs at least 8 nodes")
+        mat = _segment_p1(config, m)[0]
         h = config.length / (m - 1)
-        main = np.full(m, 2.0 / h)
-        main[0] = main[-1] = 1.0 / h
-        mat = np.diag(main) + np.diag(np.full(m - 1, -1.0 / h), 1) \
-            + np.diag(np.full(m - 1, -1.0 / h), -1)
-        mat[0, 0] -= config.h1
-        mat[-1, -1] -= config.h2
         weights = np.full(m, h)
         weights[0] = weights[-1] = h / 2.0
         basis = _restriction_basis("segment", restriction, weights)
@@ -223,10 +241,15 @@ class TOperator:
         phi is projected into the subspace first.
         """
         phi = self.gram.project(np.asarray(phi, dtype=float))
+        dual = self._transport(phi)[1]
+        return self.gram.apply_inverse(dual), dual
+
+    def _transport(self, phi):
+        """(v_phi, r): the jump-transport field of phi by CG and its
+        pairing r = -2 C^T v_phi back against the curve."""
         vfield, _ = elliptic.solve_jump_source(
             self.state, phi, rtol=self.rtol, coupling=self.coupling)
-        dual = self.coupling.dual_vector(vfield)
-        return self.gram.apply_inverse(dual), dual
+        return vfield, self.coupling.dual_vector(vfield)
 
     @property
     def dual_matrix(self):
@@ -259,20 +282,13 @@ class TOperator:
                 self._spectrum = (values[::-1], "")
         return self._spectrum
 
-    def form_value(self, phi):
-        """(T phi, phi)~ for a raw (unprojected) perturbation."""
-        phi = np.asarray(phi, dtype=float)
-        vfield, _ = elliptic.solve_jump_source(
-            self.state, phi, rtol=self.rtol, coupling=self.coupling
-        )
-        return float(phi @ self.coupling.dual_vector(vfield))
-
     def rayleigh(self, phi):
         """Rayleigh quotient (T phi, phi)~ / ||phi||~^2 of a raw phi."""
+        phi = np.asarray(phi, dtype=float)
         denom = self.gram.form(phi)
         if denom <= 0.0:
             raise ValueError("phi has vanishing curve norm")
-        return self.form_value(phi) / denom
+        return float(phi @ self._transport(phi)[1]) / denom
 
 
 @dataclass(frozen=True)
@@ -305,11 +321,9 @@ class SecondVariationResult:
 def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
     """Evaluate the second variation at a raw perturbation phi."""
     phi = np.asarray(phi, dtype=float)
-    coupling = elliptic.JumpCoupling(state)
-    vfield, _ = elliptic.solve_jump_source(state, phi, rtol=rtol,
-                                           coupling=coupling)
+    vfield, dual_vec = TOperator(state, gram, rtol)._transport(phi)
     norm_sq = gram.form(phi)
-    t_form = float(phi @ coupling.dual_vector(vfield))
+    t_form = float(phi @ dual_vec)
     direct = -2.0 * elliptic.dirichlet_energy(vfield) + norm_sq
     dual = norm_sq - t_form
     mismatch = abs(direct - dual) / max(1.0, abs(direct))
@@ -347,6 +361,20 @@ def mu(op):
         raise DegeneratePencil(
             "dual pencil is degenerate: lambda_1 = %.3g" % values[0])
     return 1.0 / float(values[0]), EigenStats(note=note)
+
+
+def segment_min_eig(config, m=200):
+    """Smallest eigenvalue of the segment form, H1-normalized.
+
+    Dense generalized eigensolve of the segment curve form
+    K - h1 e_0 e_0' - h2 e_L e_L' (the matrix of assemble_tilde_gram)
+    against M + K with P1 elements on m nodes; the sign decides
+    stability of the straight-segment critical pair.
+    """
+    if m < 16:
+        raise ValueError("need at least 16 nodes for the segment eigensolve")
+    form, stiff, mass = _segment_p1(config, m)
+    return float(pencil_eigenvalues(form, mass + stiff)[0])
 
 
 def verdict_from_eigenvalue(lam, band=0.02):

@@ -497,8 +497,9 @@ SCIPY_PROBE = textwrap.dedent("""
 
 
 def test_benchmarked_commands_load_no_scipy(tmp_path):
-    # Flat analyze, validate and phase-diagram run on NumPy alone, so a CLI
-    # call does not pay SciPy's import.  Only the curved-mesh row sweep
+    # Flat analyze, validate and phase-diagram, and the segment's analyze
+    # and oracle, run on NumPy alone, so a CLI call does not pay SciPy's
+    # import.  Only the curved-mesh row sweep
     # loads scipy.linalg, and the curved report keeps its lambda_1.  The
     # import and the flat calls, phase-diagram --jobs 2 included, do not
     # load concurrent.futures either; the curved call does, through
@@ -511,12 +512,19 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
         "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                      "curve": {"mode": 1, "amplitude": 0.05}},
         "grid": {"nx": 32, "ny": 32}, "eigen": {"compute_mu": True}})
-    out = {name: str(tmp_path / name) for name in ("flat", "validate", "phase", "curved")}
+    concave = write_config(tmp_path, "concave.json", {
+        "geometry": {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}})
+    convex = write_config(tmp_path, "convex.json", {
+        "geometry": {"kind": "segment", "length": 1.0, "h1": 3.0, "h2": 3.0}})
+    numpy_calls = ("flat", "validate", "phase", "concave", "convex")
+    out = {name: str(tmp_path / name) for name in numpy_calls + ("curved",)}
     calls = [
         ["flat", ["analyze", "--config", flat, "--out", out["flat"]]],
         ["validate", ["validate", "--config", flat, "--out", out["validate"]]],
         ["phase", ["phase-diagram", "--config", lattice, "--out", out["phase"],
                    "--jobs", "2"]],
+        ["concave", ["analyze", "--config", concave, "--out", out["concave"]]],
+        ["convex", ["oracle", "--config", convex, "--out", out["convex"]]],
         ["curved", ["analyze", "--config", curved, "--out", out["curved"]]],
     ]
     package_root = os.path.dirname(os.path.dirname(ms_stability.__file__))
@@ -526,9 +534,9 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = {name: (code, modules) for name, code, modules in json.loads(proc.stdout)}
-    for name in ("import", "flat", "validate", "phase"):
+    for name in ("import",) + numpy_calls:
         assert steps[name][1] == [], name
-    assert [steps[name][0] for name in ("flat", "validate", "phase")] == [0, 0, 0]
+    assert [steps[name][0] for name in numpy_calls] == [0, 0, 0, 0, 3]
     assert "scipy.linalg" in steps["curved"][1]
     assert not any(m.startswith("scipy.sparse") for m in steps["curved"][1])
     assert steps["curved"][0] == 0

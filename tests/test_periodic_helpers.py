@@ -1,5 +1,7 @@
 """The periodic shifts and scatters are written as slices and indexed +=;
-each must give, bit for bit, what the np.roll / np.add.at formula gives."""
+each must give, bit for bit, what the np.roll / np.add.at formula gives.
+The coupling's element sums reorder the dense products, so they match
+the add.at C to rounding."""
 
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import ms_stability as ms
 from ms_stability import elliptic, geometry
 
-from conftest import drift_domain
+from conftest import dense_coupling, drift_domain
 
 
 # ------------------------------------------------------ reference formulas
@@ -47,20 +49,6 @@ def add_at_gram(curve):
     return mat
 
 
-def add_at_coupling(trace, slope, j_e, hx, orientation):
-    u_xi = slope + (np.roll(trace, -1) - trace) / hx
-    coef = orientation * u_xi / j_e
-    m = trace.size
-    i = np.arange(m)
-    ip = (i + 1) % m
-    c = np.zeros((m, m))
-    np.add.at(c, (ip, i), coef / 2.0)
-    np.add.at(c, (ip, ip), coef / 2.0)
-    np.add.at(c, (i, i), -coef / 2.0)
-    np.add.at(c, (i, ip), -coef / 2.0)
-    return c
-
-
 # ------------------------------------------------------------- strategies
 
 @st.composite
@@ -94,20 +82,27 @@ def test_curve_helpers_equal_the_roll_formulas(data):
 @settings(max_examples=25, deadline=None)
 @given(samples(), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
 def test_coupling_matrices_equal_the_add_at_formula(data, s_upper, s_lower):
+    # loads and dual_vector are element sums over the coefficients; the
+    # reference is the product with each side's dense add.at C
     period, heights, rng = data
     curve = ms.GraphCurve(period, heights)
     m = curve.m
-    w_upper, w_lower = rng.standard_normal((2, 2, m))
+    w_upper, w_lower, v_upper, v_lower = rng.standard_normal((4, 2, m))
     # JumpCoupling reads only the curve, the column count and the traces
     system = SimpleNamespace(curve=curve, grid=SimpleNamespace(nx=m))
     state = elliptic.SlitField(system, s_upper, s_lower, w_upper, w_lower)
+    field = elliptic.SlitField(system, 0.0, 0.0, v_upper, v_lower)
     coupling = elliptic.JumpCoupling(state)
-    hx = curve.spacing
-    j_e = roll_element_lengths(curve) / hx
-    assert np.array_equal(coupling.c_upper,
-                          add_at_coupling(w_upper[0], s_upper, j_e, hx, -1.0))
-    assert np.array_equal(coupling.c_lower,
-                          add_at_coupling(w_lower[0], s_lower, j_e, hx, +1.0))
+    dense = dense_coupling(state)
+    phi = rng.standard_normal(m)
+
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    for got, side in zip(coupling.loads(phi), ("upper", "lower")):
+        assert close(got, -dense[side] @ phi)
+    ref = -2.0 * (dense["upper"].T @ v_upper[0] + dense["lower"].T @ v_lower[0])
+    assert close(coupling.dual_vector(field), ref)
 
 
 @settings(max_examples=10, deadline=None)

@@ -9,7 +9,7 @@ import ms_stability as ms
 from ms_stability import elliptic, second_variation
 from ms_stability.errors import GramSingular, InvalidRestriction
 
-from conftest import drift_domain, flat_setup
+from conftest import dense_coupling, drift_domain, flat_setup
 
 
 # ---------------------------------------------------------------- Gram
@@ -109,6 +109,32 @@ def test_spectrum_rejects_a_singular_restricted_gram():
     segment = ms.assemble_tilde_gram(ms.SegmentConfig(1.0, 50.0, 50.0))
     with pytest.raises(GramSingular, match="not positive definite"):
         segment.apply_inverse(np.ones(segment.size))
+    with pytest.raises(GramSingular, match="not positive definite"):
+        second_variation.pencil_eigenvalues(segment.matrix, segment.matrix)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.2, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+       st.sampled_from([16, 17, 64, 200]))
+def test_segment_form_and_min_eig_match_the_element_assembly(length, h1, h2, m):
+    # K and M assembled element by element, the form K - h1 e_0 e_0' -
+    # h2 e_L e_L', and SciPy's sygvd as the reference eigensolve.  Both
+    # eigensolves whiten by M + K, so their rounding grows with its
+    # condition number: with h1 = h2 = 0 the least eigenvalue is 0, and
+    # the two return noise up to ~1.2e-12 apart at L = 0.3, m = 64.
+    seg = ms.SegmentConfig(length, h1, h2)
+    h = length / (m - 1)
+    stiff, mass = np.zeros((2, m, m))
+    for e in range(m - 1):
+        stiff[e:e + 2, e:e + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        mass[e:e + 2, e:e + 2] += np.array([[2.0, 1.0], [1.0, 2.0]]) * h / 6.0
+    form = stiff.copy()
+    form[0, 0] -= h1
+    form[-1, -1] -= h2
+    assert np.array_equal(ms.assemble_tilde_gram(seg, "none", m=m).matrix, form)
+    ref = scipy.linalg.eigh(form, mass + stiff, eigvals_only=True)
+    rounding = max(1e-12, np.finfo(float).eps * np.linalg.cond(mass + stiff))
+    assert abs(ms.segment_min_eig(seg, m) - ref[0]) <= rounding * np.max(np.abs(ref))
 
 
 def test_segment_endpoint_restriction_drops_both_ends():
@@ -329,17 +355,16 @@ def test_whitened_pencil_is_symmetric_psd_and_matches_sygvd(data):
 @pytest.mark.parametrize("m", [16, 17, 64])
 @pytest.mark.parametrize("amplitude", [0.0, 0.08])
 def test_coupling_dual_matrix_matches_the_dense_product(m, amplitude):
-    # Implementation check, not an independent one: 2 C^T X C from the
-    # coupling's element coefficients in O(m^2) against the dense product
-    # with the C built from the same coefficients.  On the curved state the
-    # coefficients vary along the curve.
+    # 2 C^T X C from the coupling's element coefficients in O(m^2)
+    # against the dense product with the reference add.at C.  On the
+    # curved state the coefficients vary along the curve.
     curve = ms.sinusoidal_curve(1.0, m, mode=1, amplitude=amplitude)
     state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(m, m))
     coupling = elliptic.JumpCoupling(state)
     assert (np.ptp(coupling.coefficients["upper"]) > 1e-6) == (amplitude > 0.0)
     y = np.random.default_rng(m).standard_normal((m, m))
     x = y + y.T
-    for side, c in (("upper", coupling.c_upper), ("lower", coupling.c_lower)):
+    for side, c in dense_coupling(state).items():
         dense = 2.0 * c.T @ x @ c
         got = coupling.dual_matrix({side: x})
         assert np.max(np.abs(got - dense)) <= 1e-13 * np.max(np.abs(dense))
@@ -361,9 +386,10 @@ def test_dense_eigensolves_confirm_iterative_values():
     nu = n * n
     a_glob = scipy.linalg.block_diag(
         state.system.upper.a_uu.toarray(), state.system.lower.a_uu.toarray())
+    dense = dense_coupling(state)
     c_glob = np.zeros((2 * nu, n))
-    c_glob[:n, :] = op.coupling.c_upper
-    c_glob[nu:nu + n, :] = op.coupling.c_lower
+    c_glob[:n, :] = dense["upper"]
+    c_glob[nu:nu + n, :] = dense["lower"]
 
     x_mat = 2.0 * c_glob.T @ np.linalg.solve(a_glob, c_glob)
     p = gram.basis
@@ -549,6 +575,32 @@ def test_two_route_agreement_for_random_perturbations(unit_strip_state):
         assert result.mismatch <= 1e-6
 
 
+def test_apply_rayleigh_and_form_share_one_transport_solve(monkeypatch):
+    # apply, rayleigh and second_variation_value each make one transport
+    # solve, and the form's dual is the Gram form minus the pairing that
+    # apply returns, bit for bit.
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05)
+    state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(32, 32))
+    gram = ms.assemble_tilde_gram(curve, restriction="none")
+    op = ms.TOperator(state, gram)
+    phi = np.random.default_rng(7).standard_normal(32)
+    calls = []
+    solve = elliptic.solve_jump_source
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_jump_source", counting)
+    for evaluate in (op.apply, op.rayleigh,
+                     lambda p: ms.second_variation_value(state, gram, p)):
+        calls.clear()
+        evaluate(phi)
+        assert len(calls) == 1
+    dual = ms.second_variation_value(state, gram, phi).dual
+    assert dual == gram.form(phi) - float(phi @ op.apply(phi)[1])
+
+
 def test_verdict_bands():
     assert ms.verdict_from_eigenvalue(0.9) == "strictly_stable"
     assert ms.verdict_from_eigenvalue(1.5) == "unstable"
@@ -579,15 +631,10 @@ def test_flat_spectrum_inverts_one_curve_block(monkeypatch):
 
 @pytest.mark.parametrize("amplitude", [0.0, 0.08])
 def test_coupling_magnitude_needs_no_dense_matrix(amplitude):
-    # lambda1 and mu read the coefficients only; the dense C of each side
-    # is built when something reads it, and its largest entry is the
-    # magnitude mu tests.
+    # The coupling keeps element coefficients only; the magnitude mu tests
+    # is the largest |entry| of the reference add.at C of both sides.
     curve = ms.sinusoidal_curve(1.0, 24, mode=1, amplitude=amplitude)
     state, _ = ms.solve_state(drift_domain(), curve, ms.Grid(24, 24))
-    op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
-    ms.lambda1(op)
-    ms.mu(op)
-    coupling = op.coupling
-    assert "c_upper" not in vars(coupling) and "c_lower" not in vars(coupling)
-    dense = max(np.max(np.abs(coupling.c_upper)), np.max(np.abs(coupling.c_lower)))
+    coupling = elliptic.JumpCoupling(state)
+    dense = max(np.max(np.abs(c)) for c in dense_coupling(state).values())
     assert coupling.magnitude() == dense > 0.0
