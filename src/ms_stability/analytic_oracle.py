@@ -88,8 +88,10 @@ def mode_trace_slope(n, amplitude, a, b):
 
     The trace derivative is -amplitude * (n pi / b) * cosh(n pi a / b)
     * sin(n pi x / b); returned as the coefficient of sin(n pi x / b).
+    n must be an even integer >= 2, as for mode_lambda.
     """
     _check_strip(a, b)
+    n = _check_mode(n)
     k = n * math.pi / b
     return -amplitude * k * math.cosh(k * a)
 

@@ -159,7 +159,7 @@ def _analyze_strip(cfg):
         "results": results,
         "stats": {
             "eigen": {
-                "method": "none" if lam_stats.note else "dense_eigh",
+                "method": lam_stats.method,
                 "size": op.gram.basis.shape[1],
                 "leading": [_num(v, "numeric") for v in
                             second_variation.leading_eigenvalues(op, 3)],
@@ -225,7 +225,7 @@ def _run_phase_diagram(cfg):
 
     Each point is a small flat problem (a few ms at 64^2), so a worker
     pool costs more than it overlaps; --jobs is accepted and ignored.
-    Each distinct b builds its curve and Gram (one whitening map) once.
+    Each distinct b builds its curve and Gram once.
     """
     _require_strip(cfg, "phase-diagram")
     geom = cfg.geometry

@@ -337,7 +337,15 @@ class _Component:
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
-        norm = np.linalg.norm(rhs)
+        with np.errstate(over="ignore", under="ignore"):
+            norm = np.linalg.norm(rhs)
+        if not 1e-100 < norm < 1e100:
+            # CG's inner products square the residual, so they would under-
+            # or overflow: solve at unit scale, which a power of two
+            # reaches exactly, and scale x back.
+            exponent = np.frexp(np.max(np.abs(rhs)))[1]
+            x, stats = self.solve(np.ldexp(rhs, -exponent), rtol)
+            return np.ldexp(x, exponent), stats
         x, r, count = np.zeros(self.n_unknown), np.array(rhs, dtype=float), 0
         bound, last = rtol * norm, np.inf
         while True:
@@ -385,18 +393,27 @@ class _Component:
             count += 1
         return x, count
 
+    def curve_block_symbol(self):
+        """rfft symbol, (nx//2 + 1,), of the curve-row block (a_uu^-1)_00
+        on a flat curve (all heights equal); None on a curved one.
+
+        There the flat-strip inverse above is exact and its cosine basis
+        is 1 on the curve row, so the block is the circulant whose symbol
+        is the column sum of _inv_eig.
+        """
+        return self._inv_eig.sum(axis=0) if self._flat else None
+
     def curve_block_inverse(self):
         """Curve-row block (a_uu^-1)_00 of the inverse stiffness, (nx, nx).
 
-        On a flat curve (all heights equal) the flat-strip inverse above is
-        exact and its cosine basis is 1 on the curve row, so the block is
-        the circulant whose symbol is the column sum of _inv_eig.  A curved
-        mesh takes the row sweep.  Computed once, kept read-only, and
-        shared with the lower side on the midline (StripSystem).
+        The circulant of curve_block_symbol on a flat curve; a curved mesh
+        takes the row sweep.  Computed once, kept read-only, and shared
+        with the lower side on the midline (StripSystem).
         """
         if not self._curve_block:
-            if self._flat:
-                column = np.fft.irfft(self._inv_eig.sum(axis=0), n=self.nx)
+            symbol = self.curve_block_symbol()
+            if symbol is not None:
+                column = np.fft.irfft(symbol, n=self.nx)
                 i = np.arange(self.nx)
                 block = column[(i[:, None] - i) % self.nx]
             else:

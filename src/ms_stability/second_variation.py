@@ -21,14 +21,18 @@ where C+- are the coupling matrices and (a_uu^-1)_00 is the curve-row
 block of each side's inverse stiffness.  TOperator builds A once (the
 block from the flat-strip Fourier symbol on a flat curve, by a sweep over
 the grid rows on a curved one; C+- enter by their element coefficients
-in O(m^2)).  One whitening W = L^-1 P^T (L L^T = P^T G P) serves every
-pencil, the segment's P1 pencil (P = I) included: W G W^T = I, so
-(P^T A P, P^T G P) has the spectrum of W A W^T and one eigvalsh gives
-both eigenvalues: lambda_1 is its top eigenvalue and mu = 1 / lambda_1,
-algebraically tied rather than independent evidence.  TOperator.apply,
-rayleigh and second_variation_value share one matrix-free step (a CG
-transport solve and its pairing) with the same assembled stiffness that
-A is built from: an implementation check of A, not independent evidence.
+in O(m^2)).  A translation-invariant pair (a flat curve, walls with
+constant periodic parts, the mean_zero restriction) has circulant A and
+G, and its spectrum is the ratio of their Fourier symbols, in O(m) with
+no A formed.  Every other pencil, the segment's P1 pencil (P = I)
+included, goes through one whitening W = L^-1 P^T (L L^T = P^T G P):
+W G W^T = I, so (P^T A P, P^T G P) has the spectrum of W A W^T, one
+eigvalsh.  Either route gives both eigenvalues: lambda_1 is the top one
+and mu = 1 / lambda_1, algebraically tied rather than independent
+evidence.  TOperator.apply, rayleigh and second_variation_value share
+one matrix-free step (a CG transport solve and its pairing) with the
+same assembled stiffness that A is built from: an implementation check
+of A, not independent evidence.
 """
 
 import math
@@ -219,7 +223,8 @@ class TOperator:
     Applying T to a perturbation phi solves the jump-transport problem
     for phi on both components by CG, pairs the solution back against
     the curve (giving the dual vector r), and lifts r through the
-    restricted Gram inverse.  The spectrum instead comes from the dense
+    restricted Gram inverse.  The spectrum instead comes from the Fourier
+    symbols of a translation-invariant pair, or else from the dense
     curve-space matrix A (see dual_matrix), built once on first use.
     """
 
@@ -267,20 +272,66 @@ class TOperator:
         return self._dual_matrix
 
     def spectrum(self):
-        """(eigenvalues of T on the restriction subspace, descending; note).
+        """(eigenvalues of T on the restriction subspace, descending;
+        EigenStats naming the route), cached.
 
-        One eigvalsh of W A W^T with the Gram's whitening map W, cached;
-        raises GramSingular if the restricted Gram is not definite.
+        A translation-invariant pair takes its Fourier symbols
+        (_circulant_spectrum); any other takes one eigvalsh of W A W^T
+        with the Gram's whitening map W, and raises GramSingular if the
+        restricted Gram is not definite.
         """
         if self._spectrum is None:
-            whiten = self.gram.whitening()
-            mat = self.dual_matrix
-            if not np.any(mat):
-                self._spectrum = (np.zeros(whiten.shape[0]), "operator is zero")
-            else:
-                values = np.linalg.eigvalsh(whiten @ mat @ whiten.T)
-                self._spectrum = (values[::-1], "")
+            values = self._circulant_spectrum()
+            method = "circulant_symbol"
+            if values is None:
+                whiten = self.gram.whitening()
+                mat = self.dual_matrix
+                values = (np.linalg.eigvalsh(whiten @ mat @ whiten.T)[::-1]
+                          if np.any(mat) else np.zeros(whiten.shape[0]))
+                method = "dense_eigh"
+            self._spectrum = (values, EigenStats(method=method)
+                              if np.any(values) else
+                              EigenStats(note="operator is zero", method="none"))
         return self._spectrum
+
+    def _circulant_spectrum(self):
+        """Eigenvalues of T, descending, from the Fourier symbols; None
+        unless the pair is translation-invariant.
+
+        That is a flat curve, walls whose periodic parts sample to
+        constants, and the mean_zero restriction.  The state is then
+        linear on each side, so both C+- are h+- times one circulant, and
+        A and G are circulants with symbols 2 (2 + 2 cos t)(2 - 2 cos t)
+        sum h^2 x^ and (2 - 2 cos t) / l at t = 2 pi k / m, l the element
+        length and x^ the curve block's symbol.  mean_zero removes k = 0,
+        so T has the m - 1 eigenvalues
+
+            lambda_k = 2 l (2 + 2 cos t_k) sum_+- h+-^2 x^_k,+-.
+
+        h+- is the mean of each side's coefficients, which can differ from
+        one another by an ulp.  Modes k and m - k share one value, exactly.
+        """
+        system = self.system
+        if self.gram.restriction != "mean_zero":
+            return None
+        for data in (system.domain.top, system.domain.bottom):
+            wall = data.sample(system.abscissae)
+            if np.any(wall != wall[0]):
+                return None
+        weight = 0.0  # sum_+- h+-^2 x^+-
+        for comp in (system.upper, system.lower):
+            symbol = comp.curve_block_symbol()
+            if symbol is None:
+                return None
+            h = np.mean(self.coupling.coefficients[comp.side])
+            weight = weight + h * h * symbol
+        m = system.grid.nx
+        k = np.arange(1, m // 2 + 1)
+        # 2 l (2 + 2 cos t) = 8 l cos(t / 2)^2, without the cancellation
+        # near t = pi; l is the spacing, since the curve is flat
+        half = (8.0 * system.curve.spacing * np.cos(np.pi * k / m) ** 2
+                * weight[k])
+        return np.sort(np.concatenate([half, half[:(m - 1) // 2]]))[::-1]
 
     def rayleigh(self, phi):
         """Rayleigh quotient (T phi, phi)~ / ||phi||~^2 of a raw phi."""
@@ -293,13 +344,15 @@ class TOperator:
 
 @dataclass(frozen=True)
 class EigenStats:
-    """What one eigen call did: the dense solve fixes iterations at 0 and
-    converged at True; note is set exactly when no eigensolve ran, and
-    names why (a zero operator or an empty constraint)."""
+    """What one eigen call did: iterations is 0 and converged True, as
+    neither route iterates; method names the route, "circulant_symbol" or
+    "dense_eigh", or is "none" exactly when note is set, naming why no
+    eigenvalue was computed (a zero operator or an empty constraint)."""
 
     iterations: int = 0
     converged: bool = True
     note: str = ""
+    method: str = "dense_eigh"
 
 
 @dataclass(frozen=True)
@@ -333,10 +386,10 @@ def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
 def lambda1(op, seed=None):
     """Leading eigenvalue of T on the restriction subspace.
 
-    seed is accepted and ignored: the dense eigensolve has no random start.
+    seed is accepted and ignored: neither spectral route has a random start.
     """
-    values, note = op.spectrum()
-    return float(values[0]), EigenStats(note=note)
+    values, stats = op.spectrum()
+    return float(values[0]), stats
 
 
 def leading_eigenvalues(op, count=2):
@@ -355,12 +408,12 @@ def mu(op):
     bulk).
     """
     if op.coupling.magnitude() == 0.0:
-        return math.inf, EigenStats(note="empty constraint")
-    values, note = op.spectrum()
+        return math.inf, EigenStats(note="empty constraint", method="none")
+    values, stats = op.spectrum()
     if values[0] <= 0.0:
         raise DegeneratePencil(
             "dual pencil is degenerate: lambda_1 = %.3g" % values[0])
-    return 1.0 / float(values[0]), EigenStats(note=note)
+    return 1.0 / float(values[0]), stats
 
 
 def segment_min_eig(config, m=200):

@@ -58,14 +58,15 @@ def test_analyze_stable_strip(tmp_path, capsys):
     assert abs(lam["value"] - ref["value"]) <= 0.02 * ref["value"]
     assert report["results"]["sup_residual"]["value"] < 1e-10
     eigen = report["stats"]["eigen"]
-    assert eigen["method"] == "dense_eigh"
+    # the flat pair with linear walls takes the spectrum from its symbols
+    assert eigen["method"] == "circulant_symbol"
     assert eigen["size"] == 31  # mean-zero restriction of 32 curve nodes
     leading = eigen["leading"]
     assert len(leading) == 3
     assert all(v["provenance"] == "numeric" for v in leading)
     assert leading[0]["value"] == lam["value"]
-    # the cos/sin pair of the leading mode
-    assert leading[1]["value"] == pytest.approx(leading[0]["value"], rel=1e-9)
+    # the cos/sin pair of the leading mode, one symbol value
+    assert leading[1]["value"] == leading[0]["value"]
 
 
 def test_analyze_unstable_strip(tmp_path, capsys):
@@ -187,11 +188,14 @@ def test_phase_diagram_shares_one_gram_per_distinct_period(
         tmp_path, capsys, monkeypatch):
     # b_values unsorted with a duplicate: one Cholesky factor per distinct
     # b, rows in a-major order, and each row's lambda_1 equal to that of
-    # a one-point analyze, which builds its own Gram.
+    # a one-point analyze, which builds its own Gram.  The cos overtone on
+    # the top wall keeps the pair off the circulant route, which factors
+    # no Gram at all.
     a_values, b_values = [0.5, 1.0, 2.0], [2.0, 0.5, 2.0]
+    boundary = {"top": {"slope": 1.0, "constant": 1.0, "cos": [[1, 0.1]]}}
     cfg = write_config(tmp_path, "lattice.json", {
         "geometry": {"kind": "strip", "a_values": a_values,
-                     "b_values": b_values},
+                     "b_values": b_values, "boundary": boundary},
         "grid": {"nx": 32, "ny": 32}})
     factored = []
     cholesky = np.linalg.cholesky
@@ -210,8 +214,12 @@ def test_phase_diagram_shares_one_gram_per_distinct_period(
         [(a, b) for a in a_values for b in b_values]
     for row in rows:
         a, b = float(row[0]), float(row[1])
-        _, report = run_json(capsys, ["analyze", "--config",
-                                      strip_config(tmp_path, a, b)])
+        point = write_config(tmp_path, "point.json", {
+            "geometry": {"kind": "strip", "a": a, "b": b,
+                         "boundary": boundary},
+            "grid": {"nx": 32, "ny": 32}})
+        _, report = run_json(capsys, ["analyze", "--config", point])
+        assert report["stats"]["eigen"]["method"] == "dense_eigh"
         assert row[2] == cli._fmt(report["results"]["lambda1"]["value"])
 
 

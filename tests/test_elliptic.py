@@ -59,6 +59,28 @@ def test_zero_data_gives_zero_field():
     assert stats.iterations == 0
 
 
+@pytest.mark.parametrize("exponent", [-700, 660])
+def test_wall_data_of_extreme_scale_solve_at_unit_scale(exponent):
+    # The state is linear in the wall data, and scaling by a power of two
+    # is exact: at 2^-700 CG's inner products used to underflow to 0 (a
+    # breakdown), at 2^660 the residual norm overflowed.
+    def domain(scale):
+        k = 2.0 * math.pi
+        return ms.StripDomain(
+            1.0, 1.0,
+            ms.BoundaryData(0.0, lambda x: scale * (np.cos(k * x) + 1.0)),
+            ms.BoundaryData(0.0, lambda x: np.full_like(x, -scale)))
+
+    curve = ms.sinusoidal_curve(1.0, 24, mode=1, amplitude=0.1)
+    unit, unit_stats = ms.solve_state(domain(1.0), curve, ms.Grid(24, 24))
+    scaled, stats = ms.solve_state(domain(2.0 ** exponent), curve,
+                                   ms.Grid(24, 24))
+    for side in ("upper", "lower"):
+        np.testing.assert_array_equal(
+            scaled._pick(side)[1], np.ldexp(unit._pick(side)[1], exponent))
+    assert stats.iterations == unit_stats.iterations > 2
+
+
 def test_components_decouple():
     # The upper solve must not see the lower wall datum at all.
     top = ms.BoundaryData(0.2, lambda x: np.cos(2 * np.pi * x))

@@ -99,6 +99,19 @@ def test_strip_mode_field_trace_slope():
     assert np.max(np.abs(fd_slope - expected)) < 2e-2 * scale
 
 
+def test_mode_trace_slope_checks_the_mode_index():
+    # The index rules of mode_lambda: without them (3, 1, 1, 1) returned
+    # a slope for a mode that is not b-periodic.
+    for odd in (3, 5):
+        with pytest.raises(OddMode):
+            ms.mode_trace_slope(odd, 1.0, 1.0, 1.0)
+    for bad in (0, 1, -2, 2.5):
+        with pytest.raises(ValueError):
+            ms.mode_trace_slope(bad, 1.0, 1.0, 1.0)
+    assert ms.mode_trace_slope(4.0, 1.0, 1.0, 1.0) == \
+        ms.mode_trace_slope(4, 1.0, 1.0, 1.0)
+
+
 def test_strip_mode_field_rejects_odd_modes():
     domain = drift_domain()
     with pytest.raises(OddMode):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -611,10 +612,20 @@ def test_verdict_bands():
     assert ms.verdict_from_min_eig(0.0) == "marginal"
 
 
+def overtone_domain(a=1.0, b=1.0):
+    """The canonical walls with a cos overtone on the top one: a flat
+    curve then has a pair that is not translation-invariant."""
+    return ms.StripDomain(
+        a, b, ms.BoundaryData(1.0, lambda x: 1.0 + 0.1 * np.cos(
+            2.0 * np.pi * x / b)), ms.BoundaryData(-1.0))
+
+
 def test_flat_spectrum_inverts_one_curve_block(monkeypatch):
     # On the midline both sides are one assembly, so the flat curve block
-    # (one irfft) is formed once for the two of them.
-    _, curve, _, state, _ = flat_setup(1.0, 1.0, 32)
+    # (one irfft) is formed once for the two of them.  The overtone keeps
+    # the pair on the dense route, which forms that block.
+    curve = ms.flat_curve(1.0, 32)
+    state, _ = ms.solve_state(overtone_domain(), curve, ms.Grid(32, 32))
     op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
     assert all(np.any(c) for c in op.coupling.coefficients.values())
     calls = []
@@ -625,8 +636,115 @@ def test_flat_spectrum_inverts_one_curve_block(monkeypatch):
         return irfft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "irfft", counted)
-    op.spectrum()
+    assert op.spectrum()[1].method == "dense_eigh"
     assert calls == [(17,)]  # the symbol of one 32-column circulant
+
+
+def linear_wall(slope, constant):
+    """Wall datum slope * x + constant: a constant periodic part."""
+    return ms.BoundaryData(slope, lambda x: np.full_like(x, constant))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_circulant_route_matches_the_whitened_pencil(data):
+    # Implementation check: on a flat curve with linear walls under
+    # mean_zero, the spectrum comes from the Fourier symbols with no
+    # Cholesky and no eigvalsh, and equals the dense route's eigenvalues
+    # of W A W^T, which the test forms from dual_matrix and the whitening.
+    draw = data.draw
+    a, b = draw(st.floats(0.25, 2.0)), draw(st.floats(0.5, 4.0))
+    n = draw(st.sampled_from((16, 17, 24, 32, 64)))
+    walls = [linear_wall(draw(st.floats(0.5, 2.0))
+                         * draw(st.sampled_from((-1.0, 1.0))),
+                         draw(st.floats(-1.0, 1.0))) for _ in range(2)]
+    curve = ms.flat_curve(b, n)
+    state, _ = ms.solve_state(ms.StripDomain(a, b, *walls), curve,
+                              ms.Grid(n, n))
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("eigvalsh", "cholesky"):
+            patch.setattr(np.linalg, name, lambda *args, name=name:
+                          calls.append(name))
+        values, stats = op.spectrum()
+    assert calls == []
+    assert stats.method == "circulant_symbol" and stats.note == ""
+    assert values.shape == (n - 1,)
+    assert np.all(np.diff(values) <= 0.0)
+    assert values[0] == values[1]  # the cos/sin pair of the leading mode
+    w = op.gram.whitening()
+    ref = np.linalg.eigvalsh(w @ op.dual_matrix @ w.T)[::-1]
+    np.testing.assert_allclose(values, ref, rtol=0, atol=1e-12 * ref[0])
+
+
+@pytest.mark.parametrize("pair", ["curved", "overtone", "endpoint_zero"])
+def test_pairs_off_the_circulant_route_call_eigvalsh_once(pair, monkeypatch):
+    # A curved curve, a wall with an overtone or the endpoint_zero
+    # restriction breaks translation invariance: one dense eigensolve
+    # serves lambda_1, mu and the leading eigenvalues.
+    n = 24
+    curve = (ms.sinusoidal_curve(1.0, n, mode=1, amplitude=0.05)
+             if pair == "curved" else ms.flat_curve(1.0, n))
+    domain = overtone_domain() if pair == "overtone" else drift_domain()
+    state, _ = ms.solve_state(domain, curve, ms.Grid(n, n))
+    restriction = "endpoint_zero" if pair == "endpoint_zero" else "mean_zero"
+    op = ms.TOperator(state, ms.assemble_tilde_gram(curve, restriction))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return eigvalsh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    lam, stats = ms.lambda1(op)
+    ms.mu(op)
+    ms.leading_eigenvalues(op, count=3)
+    assert calls == [(n - 1, n - 1)]
+    assert stats.method == "dense_eigh"
+
+
+def test_circulant_lambda1_matches_the_high_precision_symbol():
+    # lambda_1 at 128^2 against the same discrete symbol summed in 40
+    # digits: x^_1 = sum_j (2/ny) / lam_j1 over the cosine modes j of the
+    # curve block, lam = (hy/6)(4 + 2 cos ty)(2 - 2 cos tx)/hx
+    # + (2 - 2 cos ty)/hy (hx/6)(4 + 2 cos tx), and with h+- = -+1/2
+    # lambda_1 = l (2 + 2 cos tx) x^_1, l = hx.
+    n = 128
+    _, curve, _, state, _ = flat_setup(1.0, 1.0, n)
+    lam, stats = ms.lambda1(ms.TOperator(state, ms.assemble_tilde_gram(curve)))
+    assert stats.method == "circulant_symbol"
+    with mpmath.workdps(40):
+        h = mpmath.mpf(1) / n
+        cx = mpmath.cos(2 * mpmath.pi / n)
+        symbol = mpmath.fsum(
+            (mpmath.mpf(2) / n)
+            / (h / 6 * (4 + 2 * cy) * (2 - 2 * cx) / h
+               + (2 - 2 * cy) / h * h / 6 * (4 + 2 * cx))
+            for cy in (mpmath.cos((j + mpmath.mpf(1) / 2) * mpmath.pi / n)
+                       for j in range(n)))
+        exact = h * (2 + 2 * cx) * symbol
+        assert abs(exact - mpmath.mpf("0.63635968937232887594")) < 1e-19
+        assert abs(lam - exact) <= 1e-15 * exact
+
+
+def test_flat_mode_pairs_converge_at_second_order():
+    # The pairs (2k - 1, 2k), k = 1, 2, 3, are the cos/sin pairs of the
+    # modes cos(2 k pi x / b) and tend to mode_lambda(2k) over
+    # 32 -> 64 -> 128.
+    for a, b in ((1.0, 1.0), (0.5, 2.0)):
+        errors = []
+        for n in (32, 64, 128):
+            _, curve, _, state, _ = flat_setup(a, b, n)
+            op = ms.TOperator(state, ms.assemble_tilde_gram(curve))
+            values = ms.leading_eigenvalues(op, count=6)
+            assert values[0::2] == values[1::2]
+            errors.append([abs(values[2 * k - 2] - ms.mode_lambda(2 * k, a, b))
+                           for k in (1, 2, 3)])
+        errors = np.array(errors)
+        orders = np.log2(errors[:-1] / errors[1:])
+        assert orders.min() >= 1.8, (a, b, errors, orders)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 0.08])
