@@ -140,6 +140,12 @@ def _analyze_strip(cfg):
     lam_flat = _flat_closed_form(geom, domain.half_height, domain.period)
     if curve.max_height() == 0.0 and not math.isnan(lam_flat):
         results["lambda1_analytic_flat"] = _num(lam_flat, "analytic")
+        flat_verdict = second_variation.verdict_from_eigenvalue(
+            lam_flat, band=cfg.eigen.band)
+        if flat_verdict != verdict:
+            notes.append("lambda1 %.10g is %s, but the closed form %.10g is "
+                         "%s; the grid may be too coarse for this band"
+                         % (lam, verdict, lam_flat, flat_verdict))
 
     report = {
         "command": "analyze",

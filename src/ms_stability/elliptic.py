@@ -37,9 +37,8 @@ transform across the rows, one FFT along the period).  On a flat curve
 that is the exact inverse, so CG stops after one iteration; on a curved
 one the iteration count depends on the curve's slope, not on the grid.
 
-Everything a flat curve reaches runs on NumPy alone.  SciPy is imported
-only by the two routines that need it: the curved-mesh row sweep's
-symmetric inverse and the CSR matrix a_uu.
+Every solve, curved meshes included, runs on NumPy alone.  SciPy is
+imported only to build the CSR matrix a_uu, which no solve reads.
 """
 
 import copy
@@ -431,23 +430,27 @@ class _Component:
         X = inverse of the current Schur complement:
         X <- (D_j - U_j X U_j^T)^-1.  Each block couples column i to
         columns i - 1, i, i + 1 only, so D_j and U_j hold row j's couplings
-        (0, di) and (1, di), and each step costs one dense inversion.
+        (0, di) and (1, di), and U_j Y is a sum of three rolled copies of Y,
+        each row scaled by its coupling.  Each step costs one dense
+        inversion, symmetrised so that every X is exactly symmetric.
         """
         nx = self.nx
         i = np.arange(nx)
         shift = (i + np.arange(-1, 2)[:, None]) % nx  # (3, nx): column i + k
         diag, upper = ([self._coupling(dj, di) for di in (-1, 0, 1)]
                        for dj in (0, 1))
-        x = None
+        x = np.zeros((nx, nx))  # nothing eliminated: row ny - 1 takes D alone
         for j in range(self.ny - 1, -1, -1):
-            s = np.zeros((nx, nx))
-            s[i, shift] = [c[j] for c in diag]
-            if x is not None:
-                # U X U^T = U (U X)^T since X is symmetric.
-                u = np.array([c[j] for c in upper])[:, :, None]
-                ux = (u * x[shift]).sum(axis=0)
-                s -= (u * ux.T[shift]).sum(axis=0)
-            x = _sym_inverse(s)
+            # U X U^T = U (U X)^T since X is symmetric.
+            u = [c[j] for c in upper]
+            s = -_rolled_rows(u, _rolled_rows(u, x).T)
+            s[i, shift] += [c[j] for c in diag]
+            try:
+                x = np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                raise SolverDiverged("singular Schur complement in the row "
+                                     "sweep at grid row %d" % j) from None
+            x = 0.5 * (x + x.T)
         return x
 
     def wall_coupling(self, wall):
@@ -503,6 +506,17 @@ def _cosine_basis(ny):
     return basis
 
 
+def _rolled_rows(coef, y):
+    """Row i of sum over di = -1, 0, 1 of coef_di[i] y[i + di mod n]: the
+    product with the periodic tridiagonal matrix whose row i holds
+    coef_-1[i], coef_0[i], coef_+1[i] around the diagonal."""
+    ghost = np.concatenate([y[-1:], y, y[:1]])  # ghost[i + 1 + di] = y[i + di]
+    out = coef[1][:, None] * y
+    out += coef[0][:, None] * ghost[:-2]
+    out += coef[2][:, None] * ghost[2:]
+    return out
+
+
 def _stencil_csr(stencil):
     """CSR matrix of the unknown rows of a node stencil, sorted per row.
 
@@ -518,27 +532,6 @@ def _stencil_csr(stencil):
     cols = row * nx + (i + di - 1) % nx
     return scipy.sparse.csr_matrix(
         (stencil[keep], ((j * nx + i)[keep], cols[keep])), shape=(nx * ny, nx * ny))
-
-
-def _sym_inverse(mat):
-    """Inverse of a nonsingular symmetric matrix (Bunch-Kaufman).
-
-    Only the curved-mesh row sweep calls it, so SciPy's LAPACK wrappers
-    load here, on first use.  One side's sweep at 256^2 (sine amplitude
-    0.05, two cores, two OpenBLAS threads) took 0.84 s this way, 0.83 s
-    with a Cholesky inversion and 1.19 s with numpy.linalg.inv, a
-    general LU inverse.
-    """
-    from scipy.linalg import lapack
-
-    ldu, piv, info = lapack.dsytrf(mat, lower=1, overwrite_a=1)
-    if info == 0:
-        inv, info = lapack.dsytri(ldu, piv, lower=1, overwrite_a=1)
-    if info != 0:
-        raise SolverDiverged("singular Schur complement in the row sweep "
-                             "(LAPACK info=%d)" % info)
-    # dsytri fills the lower triangle only.
-    return np.where(np.tri(len(inv), dtype=bool), inv, inv.T)
 
 
 class StripSystem:

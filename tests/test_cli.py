@@ -487,10 +487,57 @@ def test_unattainable_rtol_fails_fast(tmp_path, capsys):
     assert "error: SolverDiverged" in capsys.readouterr().err
 
 
+def test_singular_row_sweep_exits_with_solver_diverged(tmp_path, capsys,
+                                                       monkeypatch):
+    # A Schur complement that the curved row sweep cannot invert ends the
+    # call with the error line and exit 1, not a LinAlgError traceback.
+    def singular(mat):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    cfg = strip_config(tmp_path, geometry={
+        "kind": "strip", "a": 1.0, "b": 1.0,
+        "curve": {"mode": 1, "amplitude": 0.05}})
+    assert main(["analyze", "--config", cfg]) == 1
+    assert "error: SolverDiverged" in capsys.readouterr().err
+
+
+def test_note_when_the_closed_form_contradicts_the_verdict(tmp_path, capsys):
+    # At 16^2 the discrete lambda_1 of a = 0.341, b = 2 lies below the band
+    # 0.005 around 1, while the closed form 1.00579 lies above it.  The
+    # verdict and exit code stay the discrete ones; a note names both
+    # values and the closed form's verdict.
+    cfg = strip_config(tmp_path, a=0.341, b=2.0, n=16, eigen={"band": 0.005})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert (code, report["verdict"]) == (0, "strictly_stable")
+    results = report["results"]
+    assert results["lambda1"]["value"] == pytest.approx(0.989473848752957,
+                                                        rel=1e-12)
+    assert results["lambda1_analytic_flat"]["value"] == pytest.approx(
+        1.0057881156119985, rel=1e-12)
+    [note] = report["notes"]
+    assert "0.9894738488 is strictly_stable" in note
+    assert "1.005788116 is unstable" in note
+    # under the default band 0.02 both values are marginal: no note
+    cfg = strip_config(tmp_path, a=0.341, b=2.0, n=16)
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert (code, report["verdict"], report["notes"]) == (4, "marginal", [])
+
+
+def test_canonical_report_has_no_closed_form_note(tmp_path, capsys):
+    # The canonical pair at 128^2, with mu: the discrete and the closed-form
+    # lambda_1 are both strictly stable, so the report gains no note.
+    cfg = strip_config(tmp_path, n=128, eigen={"compute_mu": True})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert (code, report["verdict"], report["notes"]) == (0, "strictly_stable", [])
+    assert report["results"]["lambda1_analytic_flat"]["value"] < 0.98
+
+
 # Runs CLI calls in a fresh interpreter and lists the scipy and
 # concurrent.futures modules loaded after the import and after each call.
+# What a call prints (compare's table) goes to stderr.
 SCIPY_PROBE = textwrap.dedent("""
-    import json, sys
+    import contextlib, json, sys
     from ms_stability.cli import main
 
     def scipy_modules():
@@ -499,19 +546,19 @@ SCIPY_PROBE = textwrap.dedent("""
 
     steps = [["import", None, scipy_modules()]]
     for name, argv in json.loads(sys.argv[1]):
-        steps.append([name, main(argv), scipy_modules()])
+        with contextlib.redirect_stdout(sys.stderr):
+            code = main(argv)
+        steps.append([name, code, scipy_modules()])
     print(json.dumps(steps))
 """)
 
 
-def test_benchmarked_commands_load_no_scipy(tmp_path):
-    # Flat analyze, validate and phase-diagram, and the segment's analyze
-    # and oracle, run on NumPy alone, so a CLI call does not pay SciPy's
-    # import.  Only the curved-mesh row sweep
-    # loads scipy.linalg, and the curved report keeps its lambda_1.  The
-    # import and the flat calls, phase-diagram --jobs 2 included, do not
-    # load concurrent.futures either; the curved call does, through
-    # scipy._lib._util.
+def test_no_command_loads_scipy(tmp_path):
+    # Every command runs on NumPy alone, so a CLI call does not pay SciPy's
+    # import: flat and curved analyze, validate, phase-diagram, compare,
+    # and oracle on the strip and on the segment.  None of them, nor the
+    # import, loads concurrent.futures either; phase-diagram --jobs 2
+    # starts no pool.  The curved report keeps its lambda_1 and mu.
     flat = strip_config(tmp_path, eigen={"compute_mu": True})
     lattice = write_config(tmp_path, "lattice.json", {
         "geometry": {"kind": "strip", "a_values": [0.5, 1.0], "b_values": [1.0, 2.0]},
@@ -520,17 +567,23 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
         "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                      "curve": {"mode": 1, "amplitude": 0.05}},
         "grid": {"nx": 32, "ny": 32}, "eigen": {"compute_mu": True}})
+    modes = write_config(tmp_path, "modes.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+        "grid": {"nx": 32, "ny": 32}, "eigen": {"modes": [2]}})
     concave = write_config(tmp_path, "concave.json", {
         "geometry": {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}})
     convex = write_config(tmp_path, "convex.json", {
         "geometry": {"kind": "segment", "length": 1.0, "h1": 3.0, "h2": 3.0}})
-    numpy_calls = ("flat", "validate", "phase", "concave", "convex")
-    out = {name: str(tmp_path / name) for name in numpy_calls + ("curved",)}
+    names = ("flat", "validate", "phase", "compare", "oracle", "concave",
+             "convex", "curved")
+    out = {name: str(tmp_path / name) for name in names}
     calls = [
         ["flat", ["analyze", "--config", flat, "--out", out["flat"]]],
         ["validate", ["validate", "--config", flat, "--out", out["validate"]]],
         ["phase", ["phase-diagram", "--config", lattice, "--out", out["phase"],
                    "--jobs", "2"]],
+        ["compare", ["compare", "--config", modes, "--out", out["compare"]]],
+        ["oracle", ["oracle", "--config", flat, "--out", out["oracle"]]],
         ["concave", ["analyze", "--config", concave, "--out", out["concave"]]],
         ["convex", ["oracle", "--config", convex, "--out", out["convex"]]],
         ["curved", ["analyze", "--config", curved, "--out", out["curved"]]],
@@ -542,12 +595,9 @@ def test_benchmarked_commands_load_no_scipy(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = {name: (code, modules) for name, code, modules in json.loads(proc.stdout)}
-    for name in ("import",) + numpy_calls:
+    for name in ("import",) + names:
         assert steps[name][1] == [], name
-    assert [steps[name][0] for name in numpy_calls] == [0, 0, 0, 0, 3]
-    assert "scipy.linalg" in steps["curved"][1]
-    assert not any(m.startswith("scipy.sparse") for m in steps["curved"][1])
-    assert steps["curved"][0] == 0
+    assert [steps[name][0] for name in names] == [0, 0, 0, 0, 0, 0, 3, 0]
     # lambda_1 and mu of this curved pair under the SciPy CG, circulant and
     # eigh route that the NumPy one replaced
     results = json.loads(pathlib.Path(out["curved"]).read_text())["results"]
