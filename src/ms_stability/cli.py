@@ -166,7 +166,7 @@ def _analyze_strip(cfg):
         "stats": {
             "eigen": {
                 "method": lam_stats.method,
-                "size": op.gram.basis.shape[1],
+                "size": len(op.spectrum()[0]),
                 "leading": [_num(v, "numeric") for v in
                             second_variation.leading_eigenvalues(op, 3)],
             },

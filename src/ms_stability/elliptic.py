@@ -7,23 +7,28 @@ y = psi(x) * (1 - j/ny) + a * (j/ny), and symmetrically below.  On the
 resulting quadrilateral cells we use isoparametric bilinear elements
 with 2x2 Gauss quadrature.  That rule is applied once, in the assembly:
 the Dirichlet energy of a discrete field is read from the assembled
-stiffness and drift load, so it is the stiffness quadratic form itself.
+stiffness, so it is the stiffness quadratic form itself.
 
 The interpolated mesh makes each cell's Jacobian affine in the row: in
 cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
 per column, and y_xi = (psi_i+1 - psi_i) t with t = 1 - (j + eta)/ny.
 So every element matrix entry is a quadratic in t whose coefficients
-are constants times six scalars per Gauss point and column.  Node row j
+are constants times four scalars per Gauss point and column.  Node row j
 collects corners from cell rows j and j - 1, so one constant linear map
 takes those scalars to per-column stencil factors, and one matrix
-product over the rows yields the node stencil and the drift load,
-without a per-cell array.  The slabs cover every node row, the wall row
-included.  Only the centre and the four forward couplings are stored;
-each backward coupling is read from the forward one of its neighbour, so
-the assembled stiffness is exactly symmetric, not only each element
-matrix.  The solver applies the stiffness straight from those slabs, and
-the energy sums it over the forward couplings; a CSR copy is built only
-when a caller asks for a_uu.
+product over the rows yields the node stencil, without a per-cell
+array.  The slabs cover every node row, the wall row included.  Only the
+centre and the four forward couplings are stored; each backward coupling
+is read from the forward one of its neighbour, so the assembled
+stiffness is exactly symmetric, not only each element matrix.  The
+solver applies the stiffness straight from those slabs, and the energy
+sums it over the forward couplings; a CSR copy is built only when a
+caller asks for a_uu.
+
+The drift load d_i = int dN_i/dx is a boundary term, int N_i n_x over
+the curve alone: +-(psi_i+1 - psi_i-1)/2 on the curve row (+ above the
+cut) and zero elsewhere.  dN/dx |det J| is bilinear, so the 2x2 Gauss
+rule gives the same value up to rounding; on a flat curve d is exactly 0.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
 so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
@@ -74,16 +79,15 @@ def _assembly_map():
     """The constant linear map from column scalars to stencil factors.
 
     At Gauss point g of cell column i the element matrix entry (a, b) is
-    sum_k t^k times a corner constant times one of the column scalars
+    sum_k t^k times a corner constant times one of the four column scalars
     w/hx^2, w/y_eta^2, w s/hx and w s^2 (w the Gauss weight times |det|, s
-    the shear), and corner a's drift load is the same with w/hx and w s;
-    see __init__.  Corner (ia, ja) of cell (j, i) is node (j + ja, i + ia),
-    so the node takes that corner's terms from cell column i - ia.  Row
-    (slab, ja, eta, k) of the map is the t^k factor at Gauss row eta that
-    the ja corners pass to slab: the _FORWARD couplings, then the drift
-    load.  Column (ia, g, scalar) is a scalar of cell column i - ia.
+    the shear); see __init__.  Corner (ia, ja) of cell (j, i) is node
+    (j + ja, i + ia), so the node takes that corner's terms from cell
+    column i - ia.  Row (slab, ja, eta, k) of the map is the t^k factor at
+    Gauss row eta that the ja corners pass to slab, one of the _FORWARD
+    couplings.  Column (ia, g, scalar) is a scalar of cell column i - ia.
     """
-    out = np.zeros((6, 2, 2, 3, 2, 4, 6))
+    out = np.zeros((5, 2, 2, 3, 2, 4, 4))
     for g in range(4):
         dxi, deta = _DN_DXI[g], _DN_DETA[g]
         for a in range(4):
@@ -97,9 +101,7 @@ def _assembly_map():
                     slab[0, 1] += deta[a] * deta[b]
                     slab[1, 2] -= dxi[a] * deta[b] + deta[a] * dxi[b]
                     slab[2, 3] += deta[a] * deta[b]
-            terms[5, 0, 4] += dxi[a]
-            terms[5, 1, 5] -= deta[a]
-    return out.reshape(72, 48)
+    return out.reshape(60, 32)
 
 
 _ASSEMBLY_MAP = _assembly_map()
@@ -190,9 +192,9 @@ class _Component:
         # Column factors, shape (gauss point, column): y_eta, the Gauss
         # weight w times |det| and the shear s.  At row factor t the shape
         # gradients are grad_x N = dN/dxi / hx - t s dN/deta and
-        # grad_y N = dN/deta / y_eta, so each element matrix entry and
-        # drift load is a quadratic in t whose coefficients are corner
-        # constants times six column scalars (see _assembly_map).
+        # grad_y N = dN/deta / y_eta, so each element matrix entry is a
+        # quadratic in t whose coefficients are corner constants times four
+        # column scalars (see _assembly_map).
         step = (sign * a - psi) / ny
         y_eta = np.outer(1.0 - _GAUSS_XI, step) + np.outer(_GAUSS_XI, step[ip])
         if np.any(y_eta == 0.0):
@@ -201,10 +203,10 @@ class _Component:
         shear = (psi[ip] - psi) / hx / y_eta
         ws = weight * shear
         scalars = np.stack([weight / (hx * hx), weight / (y_eta * y_eta),
-                            ws / hx, ws * shear, weight / hx, ws], axis=1)
+                            ws / hx, ws * shear], axis=1)
         # Padded column c is node column c - 1: its ia = 0 corners take the
         # scalars of cell column c - 1, its ia = 1 corners those of c - 2.
-        cols = scalars.reshape(24, nx).take(np.arange(-2, nx + 1), axis=1,
+        cols = scalars.reshape(16, nx).take(np.arange(-2, nx + 1), axis=1,
                                             mode="wrap")
         block = _ASSEMBLY_MAP @ np.concatenate([cols[:, 1:], cols[:, :-1]])
         # powers[j + 1, ja]: the t^k factors of cell row j - ja, for node
@@ -217,17 +219,17 @@ class _Component:
         powers[2:, 1] = powers[1:-1, 0]
         powers = powers.reshape(ny + 2, 12)
         width = nx + 2
-        # (slab, padded row, padded column), and the drift load of node rows
-        # 0..ny.  The ghost columns are copied from the columns they repeat,
-        # since the product need not round a repeated column the same way.
-        self._slabs = np.matmul(powers, block[:60].reshape(5, 12, width))
+        # (slab, padded row, padded column).  The ghost columns are copied
+        # from the columns they repeat, since the product need not round a
+        # repeated column the same way.
+        self._slabs = np.matmul(powers, block.reshape(5, 12, width))
         self._slabs[..., 0] = self._slabs[..., nx]
         self._slabs[..., -1] = self._slabs[..., 1]
-        self._drift = powers[1:] @ block[60:, 1:-1]
+        # The curve row's drift load (module docstring) and the area.
+        self._drift = 0.5 * sign * (psi[ip] - np.roll(psi, 1))
+        self._area = hx * float(np.sum(a - sign * psi))
         # Read-only, as are the views below: both sides may share them.
         self._slabs.flags.writeable = self._drift.flags.writeable = False
-        self.drift_load = self._drift[:-1].ravel()  # the unknown rows, a view
-        self._area = ny * float(np.sum(weight))
 
         self.side = side
         self.nx = nx
@@ -332,27 +334,24 @@ class _Component:
         on the true residual with half the threshold.  Raises
         SolverDiverged when CG breaks down, when a confirmation makes no
         progress over the previous one (rtol is below what rounding
-        allows), or after MAXITER_FACTOR * nx * ny iterations.
+        allows), or after MAXITER_FACTOR * nx * ny iterations.  CG runs at
+        unit scale, max |rhs| in [1/2, 1), which a power of two reaches
+        exactly, so its inner products neither under- nor overflow.
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
-        with np.errstate(over="ignore", under="ignore"):
-            norm = np.linalg.norm(rhs)
-        if not 1e-100 < norm < 1e100:
-            # CG's inner products square the residual, so they would under-
-            # or overflow: solve at unit scale, which a power of two
-            # reaches exactly, and scale x back.
-            exponent = np.frexp(np.max(np.abs(rhs)))[1]
-            x, stats = self.solve(np.ldexp(rhs, -exponent), rtol)
-            return np.ldexp(x, exponent), stats
-        x, r, count = np.zeros(self.n_unknown), np.array(rhs, dtype=float), 0
+        exponent = np.frexp(np.max(np.abs(rhs)))[1]
+        rhs = np.ldexp(rhs, -exponent)
+        norm = np.linalg.norm(rhs)
+        x, r, count = np.zeros(self.n_unknown), rhs.copy(), 0
         bound, last = rtol * norm, np.inf
         while True:
             x, count = self._cg(x, r, bound, count)
             r = rhs - self._apply(x)
             residual = float(np.linalg.norm(r) / norm)
             if residual <= rtol:
-                return x, ComponentStats(self.side, count, residual)
+                return (np.ldexp(x, exponent),
+                        ComponentStats(self.side, count, residual))
             if not residual < last:  # also ends a NaN residual
                 raise SolverDiverged(
                     "CG on %s component stalled at relative residual %.3g "
@@ -464,7 +463,7 @@ class _Component:
 
     def energy(self, w, slope):
         """Dirichlet energy of u = slope * x + w on this side, w of shape
-        (ny + 1, nx): the stiffness form w.Kw + 2 slope d.w + slope^2 area.
+        (ny + 1, nx): the stiffness form w.Kw + 2 slope d.w[0] + slope^2 area.
 
         Every row of the full stiffness K (wall row included) sums to zero,
         so w.Kw = -sum K_e (w_i - w_j)^2 over the forward couplings e.  That
@@ -477,7 +476,7 @@ class _Component:
             rows = self.ny + 1 - dj
             diff = w[:rows] - ghost[dj:, 1 + di:1 + di + nx]
             total -= np.sum(self._slabs[k, 1:1 + rows, 1:-1] * diff * diff)
-        return float(total + 2.0 * slope * np.vdot(self._drift, w)
+        return float(total + 2.0 * slope * np.dot(self._drift, w[0])
                      + slope * slope * self._area)
 
 
@@ -636,8 +635,9 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):
     problems = []
     for comp, data in ((system.upper, domain.top), (system.lower, domain.bottom)):
         wall = data.sample(x)
-        problems.append((-data.slope * comp.drift_load - comp.wall_coupling(wall),
-                         wall))
+        rhs = -comp.wall_coupling(wall)
+        rhs[:comp.nx] -= data.slope * comp._drift
+        problems.append((rhs, wall))
     return _solve_sides(system, problems,
                         (domain.top.slope, domain.bottom.slope), rtol)
 
@@ -732,9 +732,9 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
 def dirichlet_energy(field):
     """Integral of |grad u|^2 over both sides: the stiffness form.
 
-    The energy is read from the assembled stiffness and drift load of each
-    side (_Component.energy), so energy differences and assembled
-    quadratic forms can be compared at solver accuracy.
+    The energy is read from the assembled stiffness and the closed-form
+    drift load of each side (_Component.energy), so energy differences
+    and assembled quadratic forms can be compared at solver accuracy.
     """
     system = field.system
     return (system.upper.energy(field.w_upper, field.slope_upper)

@@ -35,6 +35,7 @@ same assembled stiffness that A is built from: an implementation check
 of A, not independent evidence.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -79,46 +80,42 @@ def pencil_eigenvalues(a, b):
     return np.linalg.eigvalsh(whiten @ a @ whiten.T)
 
 
-def _restriction_basis(kind, restriction, weights):
-    """Orthonormal basis (columns) of the admissible perturbation subspace."""
-    m = weights.size
-    if restriction == "none":
-        return np.eye(m)
-    if restriction == "mean_zero":
-        # Orthogonal complement of the quadrature weight vector: full QR of
-        # the single column gives a deterministic orthonormal completion.
-        q, _ = np.linalg.qr(weights.reshape(-1, 1), mode="complete")
-        return q[:, 1:]
-    if restriction == "endpoint_zero":
-        if kind == "strip":
-            keep = np.arange(1, m)  # the period seam x = 0 is the endpoint
-        else:
-            keep = np.arange(1, m - 1)
-        basis = np.zeros((m, keep.size))
-        basis[keep, np.arange(keep.size)] = 1.0
-        return basis
-    raise InvalidRestriction(
-        "unknown restriction %r; expected one of %s" % (restriction, (RESTRICTIONS,))
-    )
-
-
 @dataclass
 class TildeGram:
     """Curve scalar product matrix with an optional subspace restriction.
 
-    matrix is the full m x m form; basis holds orthonormal columns
-    spanning the restricted subspace.  On first use P^T G P = L L^T is
-    factored (raising GramSingular unless positive definite there) and
-    W = L^-1 P^T is formed once: W G W^T = I, (G y, .) = r solves as
-    y = W^T W r, and a pencil (P^T A P, P^T G P) reduces to W A W^T.
+    matrix is the full m x m form.  The basis P, orthonormal columns
+    spanning the restricted subspace, and the whitening are built on
+    first use, as the Fourier symbol route reads neither.  The whitening
+    factors P^T G P = L L^T (raising GramSingular unless positive definite
+    there) and forms W = L^-1 P^T once: W G W^T = I, (G y, .) = r solves
+    as y = W^T W r, and a pencil (P^T A P, P^T G P) reduces to W A W^T.
     """
 
     kind: str
     matrix: np.ndarray
     weights: np.ndarray
     restriction: str
-    basis: np.ndarray
     _whiten: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.restriction not in RESTRICTIONS:
+            raise InvalidRestriction(
+                "unknown restriction %r; expected one of %s"
+                % (self.restriction, (RESTRICTIONS,)))
+
+    @functools.cached_property
+    def basis(self):
+        m = self.weights.size
+        if self.restriction == "none":
+            return np.eye(m)
+        if self.restriction == "mean_zero":
+            # Orthogonal complement of the quadrature weight vector: full
+            # QR of the single column gives a deterministic completion.
+            q, _ = np.linalg.qr(self.weights.reshape(-1, 1), mode="complete")
+            return q[:, 1:]
+        # endpoint_zero; on the strip the period seam x = 0 is the endpoint
+        return np.eye(m)[:, 1:m if self.kind == "strip" else m - 1]
 
     @property
     def size(self):
@@ -197,8 +194,7 @@ def assemble_tilde_gram(config, restriction=None, m=None):
         mat[ip, i] -= inv_ell
         h_curv = geometry.curvature(curve)
         mat[i, i] += h_curv * h_curv * weights
-        basis = _restriction_basis("strip", restriction, weights)
-        return TildeGram("strip", mat, weights, restriction, basis)
+        return TildeGram("strip", mat, weights, restriction)
 
     if isinstance(config, geometry.SegmentConfig):
         if restriction is None:
@@ -211,8 +207,7 @@ def assemble_tilde_gram(config, restriction=None, m=None):
         h = config.length / (m - 1)
         weights = np.full(m, h)
         weights[0] = weights[-1] = h / 2.0
-        basis = _restriction_basis("segment", restriction, weights)
-        return TildeGram("segment", mat, weights, restriction, basis)
+        return TildeGram("segment", mat, weights, restriction)
 
     raise TypeError("config must be a GraphCurve or a SegmentConfig")
 

@@ -487,6 +487,16 @@ def test_unattainable_rtol_fails_fast(tmp_path, capsys):
     assert "error: SolverDiverged" in capsys.readouterr().err
 
 
+def test_tall_flat_strip_solves_the_upper_side_only(tmp_path, capsys):
+    # a = 50 b at 32^2: the flat curve's drift load is exactly zero, so the
+    # lower side (wall data -x) has no load and no CG, where rounding noise
+    # in its load would end in SolverDiverged and exit 1.
+    cfg = strip_config(tmp_path, a=50.0, eigen={"compute_mu": True})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert code == 0
+    assert report["stats"]["state_cg_iterations"] == 1
+
+
 def test_singular_row_sweep_exits_with_solver_diverged(tmp_path, capsys,
                                                        monkeypatch):
     # A Schur complement that the curved row sweep cannot invert ends the

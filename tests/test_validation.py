@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ms_stability as ms
 from ms_stability import elliptic
@@ -195,3 +196,56 @@ def test_total_energy_matches_components(unit_strip_state):
     total, _ = ms.total_energy(domain, curve, grid)
     assert total == pytest.approx(
         ms.dirichlet_energy(state) + ms.curve_length(curve), rel=1e-12)
+
+
+# ------------------------------------- lambda_1 read back from the energy
+
+# Flat critical pairs with lambda_1 below and above 1.
+ENERGY_PAIRS = ((1.0, 1.0), (1.0, 2.0), (0.5, 2.2), (0.7, 1.3), (0.25, 4.0))
+
+
+def energy_ratio(a, b, phi, n=32):
+    """(g''(0) / ||phi||~^2, the pencil's lambda_1) on the flat pair (a, b).
+
+    g(t) is the total energy along the flow t phi, re-solved at each t on
+    the flowed, curved mesh, and g''(0) its Richardson-extrapolated
+    central difference: finite differences of the Dirichlet energy, a
+    different algebra from the pencil.  At a critical pair
+    g''(0) = ||phi||~^2 - (T phi, phi)~, so the ratio is 1 minus a
+    Rayleigh quotient of T.
+    """
+    domain, curve, grid = drift_domain(a, b), ms.flat_curve(b, n), ms.Grid(n, n)
+    step = 5e-3
+    flow = ms.FlowSpec(direction=phi, half_height=a,
+                       steps=(-2.0 * step, -step, 0.0, step, 2.0 * step))
+    ts, gs = ms.energy_along_flow(domain, curve, flow, grid)
+    norm_sq = ms.assemble_tilde_gram(curve, "none").form(phi)
+    state, _ = ms.solve_state(domain, curve, grid)
+    lam, _ = ms.lambda1(ms.TOperator(state, ms.assemble_tilde_gram(curve)))
+    return ms.fd_derivatives(ts, gs).second / norm_sq, lam
+
+
+@pytest.mark.parametrize("a, b", ENERGY_PAIRS)
+def test_lambda1_reads_back_from_the_energy(a, b):
+    # Along the leading direction the Rayleigh quotient is lambda_1 itself
+    # (measured differences 2.4e-10 to 1.1e-7).
+    x = np.arange(32) * (b / 32)
+    ratio, lam = energy_ratio(a, b, 0.05 * a * np.cos(2.0 * math.pi * x / b))
+    assert 1.0 - ratio == pytest.approx(lam, abs=1e-6)
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.sampled_from(ENERGY_PAIRS),
+       st.lists(st.integers(-4, 4), min_size=8, max_size=8))
+def test_energy_curvature_is_bounded_by_lambda1(pair, coef):
+    # T is positive semidefinite and lambda_1 is its largest Rayleigh
+    # quotient, so every smooth mean-zero phi (Fourier modes 1-4, scaled to
+    # amplitude 0.05 a) gives 1 - lambda_1 <= g''(0) / ||phi||~^2 <= 1.
+    assume(any(coef))
+    a, b = pair
+    x = np.arange(32) * (b / 32)
+    phi = sum(coef[2 * k] * np.cos(2.0 * math.pi * (k + 1) * x / b)
+              + coef[2 * k + 1] * np.sin(2.0 * math.pi * (k + 1) * x / b)
+              for k in range(4))
+    ratio, lam = energy_ratio(a, b, 0.05 * a * phi / np.max(np.abs(phi)))
+    assert 1.0 - lam - 1e-6 <= ratio <= 1.0 + 1e-6
