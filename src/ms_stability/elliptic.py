@@ -1,16 +1,18 @@
 """Poisson-type solves on the periodic strip slit along a graph curve.
 
 The curve y = psi(x) cuts the strip into an upper and a lower component.
-Each component is meshed by vertically interpolating between the curve
-and its wall: grid row j of the upper component sits at
-y = psi(x) * (1 - j/ny) + a * (j/ny), and symmetrically below.  On the
-resulting quadrilateral cells we use isoparametric bilinear elements
-with 2x2 Gauss quadrature.  That rule is applied once, in the assembly:
-the Dirichlet energy of a discrete field is read from the assembled
-stiffness, so it is the stiffness quadratic form itself.
+The reflection y -> -y maps the lower component of psi onto the upper
+one of -psi, so only one kind of region is assembled (StripSystem): the
+half strip between a curve and the wall y = +a.  It is meshed by
+vertically interpolating between the two, grid row j at
+y = psi(x) * (1 - j/ny) + a * (j/ny).  On the resulting quadrilateral
+cells we use isoparametric bilinear elements with 2x2 Gauss quadrature.
+That rule is applied once, in the assembly: the Dirichlet energy of a
+discrete field is read from the assembled stiffness, so it is the
+stiffness quadratic form itself.
 
 The interpolated mesh makes each cell's Jacobian affine in the row: in
-cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (+-a - psi)/ny is
+cell (j, i), y_eta = (1 - xi) g_i + xi g_i+1 with g = (a - psi)/ny is
 per column, and y_xi = (psi_i+1 - psi_i) t with t = 1 - (j + eta)/ny.
 So every element matrix entry is a quadratic in t whose coefficients
 are constants times four scalars per Gauss point and column.  Node row j
@@ -26,9 +28,9 @@ sums it over the forward couplings; a CSR copy is built only when a
 caller asks for a_uu.
 
 The drift load d_i = int dN_i/dx is a boundary term, int N_i n_x over
-the curve alone: +-(psi_i+1 - psi_i-1)/2 on the curve row (+ above the
-cut) and zero elsewhere.  dN/dx |det J| is bilinear, so the 2x2 Gauss
-rule gives the same value up to rounding; on a flat curve d is exactly 0.
+the curve alone: (psi_i+1 - psi_i-1)/2 on the curve row and zero
+elsewhere.  dN/dx |det J| is bilinear, so the 2x2 Gauss rule gives the
+same value up to rounding; on a flat curve d is exactly 0.
 
 Fields are stored as a drift slope s plus periodic nodal corrections w,
 so u = s * x + w with w b-periodic; only u_x needs to be periodic.  The
@@ -46,7 +48,6 @@ Every solve, curved meshes included, runs on NumPy alone.  SciPy is
 imported only to build the CSR matrix a_uu, which no solve reads.
 """
 
-import copy
 import functools
 from dataclasses import dataclass
 
@@ -162,7 +163,8 @@ class SolveStats:
 
 
 class _Component:
-    """Assembled bilinear-element system for one side of the cut.
+    """Assembled bilinear-element system for one half strip: the region
+    between the curve and the wall y = +a.
 
     Node (j, i) has flat index j*nx + i with j = 0 the curve row and
     j = ny the wall row, so the first nx*ny indices are the unknowns and
@@ -177,15 +179,15 @@ class _Component:
     reads the nine couplings of the unknown rows as contiguous runs of the
     flattened slabs; energy reads the forward couplings of all rows.
 
-    side picks the wall, +a or -a; after that it only names the side in
-    stats and messages, since the midline's lower side is the upper one.
+    The half strip knows no side: StripSystem builds the lower side as the
+    half strip of -psi, and solve only takes the side's name for its stats
+    and messages.
     """
 
-    def __init__(self, domain, curve, grid, side):
+    def __init__(self, domain, curve, grid):
         nx, ny = grid.nx, grid.ny
         a = domain.half_height
         hx = domain.period / nx
-        sign = 1.0 if side == "upper" else -1.0
         psi = curve.heights
         ip = (np.arange(nx) + 1) % nx
 
@@ -195,7 +197,7 @@ class _Component:
         # grad_y N = dN/deta / y_eta, so each element matrix entry is a
         # quadratic in t whose coefficients are corner constants times four
         # column scalars (see _assembly_map).
-        step = (sign * a - psi) / ny
+        step = (a - psi) / ny
         y_eta = np.outer(1.0 - _GAUSS_XI, step) + np.outer(_GAUSS_XI, step[ip])
         if np.any(y_eta == 0.0):
             raise ValueError("degenerate cell: curve touches a wall")
@@ -226,12 +228,11 @@ class _Component:
         self._slabs[..., 0] = self._slabs[..., nx]
         self._slabs[..., -1] = self._slabs[..., 1]
         # The curve row's drift load (module docstring) and the area.
-        self._drift = 0.5 * sign * (psi[ip] - np.roll(psi, 1))
-        self._area = hx * float(np.sum(a - sign * psi))
-        # Read-only, as are the views below: both sides may share them.
+        self._drift = 0.5 * (psi[ip] - np.roll(psi, 1))
+        self._area = hx * float(np.sum(a - psi))
+        # Read-only, as are the views below: both sides may be this object.
         self._slabs.flags.writeable = self._drift.flags.writeable = False
 
-        self.side = side
         self.nx = nx
         self.ny = ny
         self.n_unknown = nx * ny
@@ -258,7 +259,7 @@ class _Component:
         # half-weight curve row, so that
         #   a_uu^-1 = (2/ny) (C (x) F^-1) diag(1/lam) (C^T (x) F).
         # A curved mesh uses the flat strip of the same mean height.
-        hy = (a - sign * float(np.mean(psi))) / ny
+        hy = (a - float(np.mean(psi))) / ny
         stiff_x, mass_x = _p1_symbols(nx, True)
         stiff_y, mass_y = _p1_symbols(ny, False)
         lam = np.outer(hy * mass_y / 6.0, stiff_x / hx)
@@ -267,7 +268,7 @@ class _Component:
         self._inv_eig = np.divide(2.0 / ny, lam, out=lam)  # (ny, nx//2 + 1)
         self._inv_eig.flags.writeable = False
         self._flat = bool(np.all(psi == psi[0]))
-        self._curve_block = []  # curve_block_inverse, once computed
+        self._curve_block = None  # curve_block_inverse, once computed
 
     def _coupling(self, dj, di):
         """(ny, nx) view: the coupling of node (j, i) to (j + dj, i + di)."""
@@ -320,7 +321,7 @@ class _Component:
             out += np.multiply(coef, padded[start:start + size], out=term)
         return out.reshape(ny, width)[:, 1:-1].ravel()
 
-    def solve(self, rhs, rtol):
+    def solve(self, rhs, rtol, side):
         """CG on the unknown block, preconditioned by the flat-strip inverse.
 
         The preconditioner is the exact inverse of this side's stiffness on
@@ -336,41 +337,42 @@ class _Component:
         progress over the previous one (rtol is below what rounding
         allows), or after MAXITER_FACTOR * nx * ny iterations.  CG runs at
         unit scale, max |rhs| in [1/2, 1), which a power of two reaches
-        exactly, so its inner products neither under- nor overflow.
+        exactly, so its inner products neither under- nor overflow.  side
+        names the side in the stats and in SolverDiverged.
         """
         if not np.any(rhs):
-            return np.zeros(self.n_unknown), ComponentStats(self.side, 0, 0.0)
+            return np.zeros(self.n_unknown), ComponentStats(side, 0, 0.0)
         exponent = np.frexp(np.max(np.abs(rhs)))[1]
         rhs = np.ldexp(rhs, -exponent)
         norm = np.linalg.norm(rhs)
         x, r, count = np.zeros(self.n_unknown), rhs.copy(), 0
         bound, last = rtol * norm, np.inf
         while True:
-            x, count = self._cg(x, r, bound, count)
+            x, count = self._cg(x, r, bound, count, side)
             r = rhs - self._apply(x)
             residual = float(np.linalg.norm(r) / norm)
             if residual <= rtol:
                 return (np.ldexp(x, exponent),
-                        ComponentStats(self.side, count, residual))
+                        ComponentStats(side, count, residual))
             if not residual < last:  # also ends a NaN residual
                 raise SolverDiverged(
                     "CG on %s component stalled at relative residual %.3g "
                     "> rtol %.3g after %d iterations"
-                    % (self.side, residual, rtol, count))
+                    % (side, residual, rtol, count))
             last, bound = residual, 0.5 * bound
 
-    def _cg(self, x, r, bound, count):
+    def _cg(self, x, r, bound, count, side):
         """Preconditioned CG from x, whose residual is r, until |r| < bound.
 
         The recurrence of scipy.sparse.linalg.cg; x and r are updated in
-        place.  count carries the iterations over restarts.  Returns
-        (x, count).
+        place.  count carries the iterations over restarts, side names the
+        side in SolverDiverged.  Returns (x, count).
         """
         p = rho_prev = None
         while np.linalg.norm(r) >= bound:
             if count >= MAXITER_FACTOR * self.n_unknown:
                 raise SolverDiverged("CG on %s component did not converge in "
-                                     "%d iterations" % (self.side, count))
+                                     "%d iterations" % (side, count))
             z = self._flat_inverse(r)
             rho = r @ z
             if p is None:
@@ -383,7 +385,7 @@ class _Component:
             if not (0.0 < rho < np.inf and 0.0 < curvature < np.inf):
                 raise SolverDiverged(
                     "CG on %s component broke down after %d iterations "
-                    "(r.Mr = %.3g, p.Ap = %.3g)" % (self.side, count, rho, curvature))
+                    "(r.Mr = %.3g, p.Ap = %.3g)" % (side, count, rho, curvature))
             alpha = rho / curvature
             x += alpha * p
             r -= alpha * q
@@ -405,10 +407,10 @@ class _Component:
         """Curve-row block (a_uu^-1)_00 of the inverse stiffness, (nx, nx).
 
         The circulant of curve_block_symbol on a flat curve; a curved mesh
-        takes the row sweep.  Computed once, kept read-only, and shared
-        with the lower side on the midline (StripSystem).
+        takes the row sweep.  Computed once and kept read-only; on the
+        midline both sides are this object, so both read the one block.
         """
-        if not self._curve_block:
+        if self._curve_block is None:
             symbol = self.curve_block_symbol()
             if symbol is not None:
                 column = np.fft.irfft(symbol, n=self.nx)
@@ -417,8 +419,8 @@ class _Component:
             else:
                 block = self._row_sweep()
             block.flags.writeable = False
-            self._curve_block.append(block)
-        return self._curve_block[0]
+            self._curve_block = block
+        return self._curve_block
 
     def _row_sweep(self):
         """(a_uu^-1)_00 by block elimination over the grid rows.
@@ -536,10 +538,11 @@ def _stencil_csr(stencil):
 class StripSystem:
     """Assembled elliptic systems for both components of a slit strip.
 
-    The lower side of psi assembles to the same arrays, bit for bit, as
-    the upper side of -psi.  On the midline (every height zero) the lower
-    side is therefore a shallow copy of the upper one, named "lower": one
-    assembly and one curve block serve both, and each still solves.
+    The lower side is the upper side of -psi: y -> -y maps one onto the
+    other.  On the midline (every height zero) that is the upper side
+    itself, so both sides are one object, with one assembly and one curve
+    block.  sides names the two, upper first; it is the one place that
+    does.
     """
 
     def __init__(self, domain, curve, grid):
@@ -552,12 +555,13 @@ class StripSystem:
         self.domain = domain
         self.curve = curve
         self.grid = grid
-        self.upper = _Component(domain, curve, grid, "upper")
+        self.upper = _Component(domain, curve, grid)
         if np.any(curve.heights):
-            self.lower = _Component(domain, curve, grid, "lower")
+            mirror = geometry.GraphCurve(curve.period, -curve.heights)
+            self.lower = _Component(domain, mirror, grid)
         else:
-            self.lower = copy.copy(self.upper)
-            self.lower.side = "lower"
+            self.lower = self.upper
+        self.sides = (("upper", self.upper), ("lower", self.lower))
 
     @property
     def abscissae(self):
@@ -592,14 +596,9 @@ class SlitField:
         """Arclength derivative of the trace, sampled at curve nodes."""
         slope, w = self._pick(side)
         curve = self.system.curve
-        dpsi = geometry.slope_samples(curve)
+        dpsi = curve.derivatives[0]
         du_dx = slope + geometry.periodic_derivatives(w[0], curve.spacing)[0]
         return du_dx / np.sqrt(1.0 + dpsi * dpsi)
-
-    def unknown_vector(self, side):
-        """Unknown-row values as the flat CG vector (curve row first)."""
-        _, w = self._pick(side)
-        return w[:-1].ravel()
 
     def _pick(self, side):
         if side == "upper":
@@ -615,8 +614,8 @@ def _solve_sides(system, problems, slopes, rtol):
     Returns (SlitField with the given drift slopes, SolveStats).
     """
     rows, parts = [], []
-    for comp, (rhs, wall) in zip((system.upper, system.lower), problems):
-        u, stats = comp.solve(rhs, rtol)
+    for (side, comp), (rhs, wall) in zip(system.sides, problems):
+        u, stats = comp.solve(rhs, rtol, side)
         rows.append(np.vstack([u.reshape(comp.ny, comp.nx), wall]))
         parts.append(stats)
     return SlitField(system, *slopes, *rows), SolveStats.combine(rtol, parts)
@@ -633,7 +632,7 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):
     system = StripSystem(domain, curve, grid)
     x = system.abscissae
     problems = []
-    for comp, data in ((system.upper, domain.top), (system.lower, domain.bottom)):
+    for (_, comp), data in zip(system.sides, (domain.top, domain.bottom)):
         wall = data.sample(x)
         rhs = -comp.wall_coupling(wall)
         rhs[:comp.nx] -= data.slope * comp._drift
@@ -701,12 +700,6 @@ class JumpCoupling:
                 for side in ("upper", "lower"))
         return -2.0 * (q + np.roll(q, 1))
 
-    def magnitude(self):
-        """Largest |entry| of both C: +-half_i off the diagonal, and
-        half_i-1 - half_i on it."""
-        return max(max(np.max(np.abs(h)), np.max(np.abs(np.roll(h, 1) - h)))
-                   for h in self.coefficients.values())
-
 
 def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
     """Perturbation field v_phi driven by transporting the state jump.
@@ -722,7 +715,7 @@ def solve_jump_source(state, phi, rtol=DEFAULT_RTOL, coupling=None):
     if phi.shape != (system.grid.nx,):
         raise ValueError("phi must have one sample per curve node")
     problems = []
-    for comp, load in zip((system.upper, system.lower), coupling.loads(phi)):
+    for (_, comp), load in zip(system.sides, coupling.loads(phi)):
         rhs = np.zeros(comp.n_unknown)
         rhs[: comp.nx] = load
         problems.append((rhs, np.zeros(comp.nx)))

@@ -224,11 +224,6 @@ def curvature(curve):
     return d2 / np.power(1.0 + d1 * d1, 1.5)
 
 
-def slope_samples(curve):
-    """Nodal slope samples psi'_i by the fourth-order periodic stencil."""
-    return curve.derivatives[0]
-
-
 def periodic_difference(values):
     """Forward differences values[i + 1] - values[i], index i + 1 mod m."""
     diff = np.empty_like(values)

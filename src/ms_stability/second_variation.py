@@ -37,7 +37,7 @@ of A, not independent evidence.
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ class TildeGram:
     matrix: np.ndarray
     weights: np.ndarray
     restriction: str
-    _whiten: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.restriction not in RESTRICTIONS:
@@ -137,17 +136,16 @@ class TildeGram:
         """Euclidean projection onto the restriction subspace."""
         return self.basis @ (self.basis.T @ np.asarray(vec, dtype=float))
 
+    @functools.cached_property
     def whitening(self):
         """W = L^-1 P^T, (k, m), with L L^T = P^T G P; computed once, and
         raises GramSingular."""
-        if self._whiten is None:
-            self._whiten = _whitening(self.basis.T @ self.matrix @ self.basis,
-                                      self.basis.T, self.restriction)
-        return self._whiten
+        return _whitening(self.basis.T @ self.matrix @ self.basis,
+                          self.basis.T, self.restriction)
 
     def apply_inverse(self, rhs):
         """Solve (G y, .) = rhs on the subspace; returns y as a full vector."""
-        whiten = self.whitening()
+        whiten = self.whitening
         return whiten.T @ (whiten @ np.asarray(rhs, float))
 
 
@@ -232,7 +230,6 @@ class TOperator:
         self.gram = gram
         self.rtol = rtol
         self.coupling = elliptic.JumpCoupling(state)
-        self._dual_matrix = None
         self._spectrum = None
 
     def apply(self, phi):
@@ -251,20 +248,18 @@ class TOperator:
             self.state, phi, rtol=self.rtol, coupling=self.coupling)
         return vfield, self.coupling.dual_vector(vfield)
 
-    @property
+    @functools.cached_property
     def dual_matrix(self):
         """Dense A with A @ phi the dual vector r of apply(phi).
 
         A = 2 sum C^T (a_uu^-1)_00 C over both sides, formed in O(m^2)
-        from the coupling's element coefficients; a side with zero
+        from the coupling's element coefficients, once; a side with zero
         coupling contributes nothing and skips its curve block.
         """
-        if self._dual_matrix is None:
-            self._dual_matrix = self.coupling.dual_matrix(
-                {comp.side: comp.curve_block_inverse()
-                 for comp in (self.system.upper, self.system.lower)
-                 if np.any(self.coupling.coefficients[comp.side])})
-        return self._dual_matrix
+        return self.coupling.dual_matrix(
+            {side: comp.curve_block_inverse()
+             for side, comp in self.system.sides
+             if np.any(self.coupling.coefficients[side])})
 
     def spectrum(self):
         """(eigenvalues of T on the restriction subspace, descending;
@@ -279,7 +274,7 @@ class TOperator:
             values = self._circulant_spectrum()
             method = "circulant_symbol"
             if values is None:
-                whiten = self.gram.whitening()
+                whiten = self.gram.whitening
                 mat = self.dual_matrix
                 values = (np.linalg.eigvalsh(whiten @ mat @ whiten.T)[::-1]
                           if np.any(mat) else np.zeros(whiten.shape[0]))
@@ -314,11 +309,11 @@ class TOperator:
             if np.any(wall != wall[0]):
                 return None
         weight = 0.0  # sum_+- h+-^2 x^+-
-        for comp in (system.upper, system.lower):
+        for side, comp in system.sides:
             symbol = comp.curve_block_symbol()
             if symbol is None:
                 return None
-            h = np.mean(self.coupling.coefficients[comp.side])
+            h = np.mean(self.coupling.coefficients[side])
             weight = weight + h * h * symbol
         m = system.grid.nx
         k = np.arange(1, m // 2 + 1)
@@ -399,12 +394,12 @@ def mu(op):
 
     The pencil of this problem has the same nonzero spectrum as T, so
     mu = 1 / lambda_1.  Returns (value, EigenStats); the value is +inf
-    when the constraint set is empty (no coupling between curve and
-    bulk).
+    when the constraint set is empty: T is zero (no coupling between
+    curve and bulk), which op.spectrum reports as method "none".
     """
-    if op.coupling.magnitude() == 0.0:
-        return math.inf, EigenStats(note="empty constraint", method="none")
     values, stats = op.spectrum()
+    if stats.method == "none":
+        return math.inf, EigenStats(note="empty constraint", method="none")
     if values[0] <= 0.0:
         raise DegeneratePencil(
             "dual pencil is degenerate: lambda_1 = %.3g" % values[0])

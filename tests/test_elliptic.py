@@ -152,7 +152,7 @@ def check_energy_form(state, slope):
     total = 0.0
     for side in ("upper", "lower"):
         comp = getattr(state.system, side)
-        v = field.unknown_vector(side)
+        v = getattr(field, "w_" + side)[:-1].ravel()
         form = float(v @ (comp.a_uu @ v))
         expect = (form + 2.0 * slope * float(comp._drift @ v[:comp.nx])
                   + slope ** 2 * side_area(state.system.domain, curve, side))
@@ -276,10 +276,10 @@ def test_assembly_keeps_no_per_cell_arrays():
     domain = drift_domain()
     curve = ms.sinusoidal_curve(1.0, 128, mode=1, amplitude=0.1)
     grid = ms.Grid(128, 128)
-    elliptic._Component(domain, curve, grid, "upper")
+    elliptic._Component(domain, curve, grid)
     tracemalloc.start()
     try:
-        side = elliptic._Component(domain, curve, grid, "upper")
+        side = elliptic._Component(domain, curve, grid)
         kept, peak = tracemalloc.get_traced_memory()
         del side
     finally:
@@ -308,7 +308,7 @@ def test_solve_path_never_builds_the_nine_point_array(monkeypatch):
     nine_point = elliptic._Component._stencil
 
     def counted(self):
-        reads.append(self.side)
+        reads.append(self)
         return nine_point.fget(self)
 
     monkeypatch.setattr(elliptic._Component, "_stencil", property(counted))
@@ -320,7 +320,7 @@ def test_solve_path_never_builds_the_nine_point_array(monkeypatch):
         comp.curve_block_inverse()
     assert reads == []
     assert state.system.upper.a_uu.nnz > 0
-    assert reads == ["upper"]
+    assert reads == [state.system.upper]
 
 
 def test_energy_of_analytic_mode_matches_quadrature_oracle():
@@ -358,7 +358,7 @@ def test_solver_guards():
     # two neighbouring nodes on the wall flatten a column of cells
     touching = ms.GraphCurve(1.0, np.where(np.arange(32) // 2 == 2, 1.0, 0.0))
     with pytest.raises(ValueError, match="degenerate cell"):
-        elliptic._Component(domain, touching, ms.Grid(32, 32), "upper")
+        elliptic._Component(domain, touching, ms.Grid(32, 32))
 
 
 # ------------------------------------------- flat-strip preconditioner
@@ -464,7 +464,7 @@ def test_preconditioned_cg_on_random_curves(problem):
         assert r @ mr > 0.0 and q @ mq > 0.0
         assert abs(q @ mr - r @ mq) <= 1e-12 * math.sqrt((q @ mq) * (r @ mr))
         rhs = rng.standard_normal(comp.n_unknown)
-        x, stats = comp.solve(rhs, rtol=1e-12)
+        x, stats = comp.solve(rhs, rtol=1e-12, side="upper")
         assert stats.residual <= 1e-12
         exact = scipy.sparse.linalg.spsolve(comp.a_uu.tocsc(), rhs)
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
@@ -482,16 +482,16 @@ def test_cg_stop_is_confirmed_on_the_true_residual(monkeypatch):
     real_cg = elliptic._Component._cg
     runs = []
 
-    def early_stop(self, x, r, bound, count):
+    def early_stop(self, x, r, bound, count, side):
         if not runs:
             bound = 0.9 * np.linalg.norm(r)
         runs.append(x.copy())
-        x, count = real_cg(self, x, r, bound, count)
+        x, count = real_cg(self, x, r, bound, count, side)
         runs.append(x.copy())
         return x, count
 
     monkeypatch.setattr(elliptic._Component, "_cg", early_stop)
-    x, stats = comp.solve(rhs, rtol=1e-10)
+    x, stats = comp.solve(rhs, rtol=1e-10, side="upper")
     assert len(runs) == 4
     assert not np.any(runs[0]) and np.any(runs[1])
     np.testing.assert_array_equal(runs[2], runs[1])  # resumed from x
@@ -538,10 +538,10 @@ def test_lower_side_of_psi_is_the_upper_side_of_minus_psi(a, b, n, weights):
               for k, w in enumerate(weights, start=1))
     psi *= 0.3 * a / max(np.max(np.abs(psi)), 1.0)
     grid = ms.Grid(n, 20)
-    lower = elliptic._Component(drift_domain(a, b), ms.GraphCurve(b, psi), grid,
-                                "lower")
-    upper = elliptic._Component(drift_domain(a, b), ms.GraphCurve(b, -psi), grid,
-                                "upper")
+    lower = elliptic.StripSystem(drift_domain(a, b), ms.GraphCurve(b, psi),
+                                 grid).lower
+    upper = elliptic.StripSystem(drift_domain(a, b), ms.GraphCurve(b, -psi),
+                                 grid).upper
     for name in ("_slabs", "_drift", "_inv_eig"):
         assert np.array_equal(getattr(lower, name), getattr(upper, name)), name
     assert lower._area == upper._area
@@ -564,9 +564,7 @@ def test_only_the_midline_shares_a_side():
     grid = ms.Grid(32, 32)
     heights = np.zeros(32)
     flat = elliptic.StripSystem(drift_domain(), ms.GraphCurve(1.0, heights), grid)
-    assert (flat.upper.side, flat.lower.side) == ("upper", "lower")
-    assert np.shares_memory(flat.upper._slabs, flat.lower._slabs)
-    assert flat.lower.curve_block_inverse() is flat.upper.curve_block_inverse()
+    assert flat.lower is flat.upper
     heights[7] = 1e-3
     # One raised node, and a flat line off the midline: both build two sides.
     for psi in (heights, np.full(32, 0.1)):
@@ -609,11 +607,11 @@ def test_shared_lower_side_solves_as_a_separately_built_one():
     field, stats = ms.solve_state(domain, curve, grid)
     assert [part.side for part in stats.components] == ["upper", "lower"]
     assert stats.components[1].iterations > 0
-    alone = elliptic._Component(domain, curve, grid, "lower")
+    alone = elliptic._Component(domain, ms.GraphCurve(b, -curve.heights), grid)
     wall = domain.bottom.sample(curve.abscissae)
     rhs = -alone.wall_coupling(wall)
     rhs[:n] -= domain.bottom.slope * alone._drift
-    w, _ = alone.solve(rhs, elliptic.DEFAULT_RTOL)
+    w, _ = alone.solve(rhs, elliptic.DEFAULT_RTOL, "lower")
     assert np.array_equal(field.w_lower[:-1].ravel(), w)
     assert np.array_equal(field.system.lower.curve_block_inverse(),
                           alone.curve_block_inverse())

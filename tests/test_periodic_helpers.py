@@ -111,7 +111,7 @@ def test_wall_coupling_equals_the_roll_formula(data):
     period, heights, rng = data
     curve = ms.GraphCurve(period, 0.5 * np.tanh(heights))  # inside |y| < 1
     comp = elliptic._Component(drift_domain(1.0, period), curve,
-                               ms.Grid(curve.m, 16), "upper")
+                               ms.Grid(curve.m, 16))
     wall = rng.standard_normal(curve.m)
     ref = np.zeros(comp.n_unknown)
     ref[-curve.m:] = sum(c * np.roll(wall, 1 - k)
