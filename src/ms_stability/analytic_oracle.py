@@ -20,10 +20,6 @@ import numpy as np
 from . import elliptic, geometry
 from .errors import OddMode
 
-# tanh(t) for t >= 20 equals 1 to well below double rounding.
-_TANH_SATURATION = 20.0
-
-
 def _check_strip(a, b):
     if not (np.isfinite(a) and a > 0 and np.isfinite(b) and b > 0):
         raise ValueError("strip parameters must be positive and finite")
@@ -43,14 +39,13 @@ def mode_lambda(n, a, b):
     """Eigenvalue of the mode cos(n pi x / b) on the flat interface.
 
     n must be an even integer >= 2: odd modes are not b-periodic and
-    raise OddMode.  For large n pi a / b the tanh factor saturates and
-    the asymptote 4 b / (n pi) is returned.
+    raise OddMode.  For large n pi a / b the tanh factor rounds to 1
+    (math.tanh(t) is exactly 1.0 from t ~ 19.07 on), so the asymptote
+    4 b / (n pi) is returned.
     """
     _check_strip(a, b)
     n = _check_mode(n)
-    t = n * math.pi * a / b
-    factor = 1.0 if t > _TANH_SATURATION else math.tanh(t)
-    return 4.0 * b / (n * math.pi) * factor
+    return 4.0 * b / (n * math.pi) * math.tanh(n * math.pi * a / b)
 
 
 def lambda1_strip(a, b):

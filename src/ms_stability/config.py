@@ -16,7 +16,7 @@ import numpy as np
 
 from . import elliptic, geometry, validation
 from .errors import ConfigInvalid
-from .second_variation import RESTRICTIONS
+from .second_variation import RESTRICTIONS, SEGMENT_NODES
 
 SECTIONS = ("geometry", "grid", "solver", "eigen", "validate", "output")
 
@@ -257,7 +257,7 @@ def _parse_geometry(obj):
             length=_number(obj, "length", path, required=True, positive=True),
             h1=_number(obj, "h1", path, required=True),
             h2=_number(obj, "h2", path, required=True),
-            m=_integer(obj, "m", path, default=128, minimum=16),
+            m=_integer(obj, "m", path, default=SEGMENT_NODES, minimum=16),
         )
     raise ConfigInvalid("geometry.kind must be 'strip' or 'segment'")
 

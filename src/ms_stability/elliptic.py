@@ -137,29 +137,18 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class ComponentStats:
-    side: str
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class SolveStats:
-    """Conjugate-gradient bookkeeping for one field solve."""
+    """Conjugate-gradient bookkeeping for one solve.
+
+    From _Component.solve: the iterations and the confirmed relative
+    residual of one half strip.  From a field solve (_solve_sides): the
+    iterations summed and the residual maximised over both sides, with
+    each side's record in components, upper first.
+    """
 
     iterations: int
     residual: float
-    rtol: float
-    components: tuple
-
-    @staticmethod
-    def combine(rtol, parts):
-        return SolveStats(
-            iterations=sum(p.iterations for p in parts),
-            residual=max((p.residual for p in parts), default=0.0),
-            rtol=rtol,
-            components=tuple(parts),
-        )
+    components: tuple = ()
 
 
 class _Component:
@@ -180,8 +169,8 @@ class _Component:
     flattened slabs; energy reads the forward couplings of all rows.
 
     The half strip knows no side: StripSystem builds the lower side as the
-    half strip of -psi, and solve only takes the side's name for its stats
-    and messages.
+    half strip of -psi, and only _solve_sides puts a side's name to a
+    solve, in its stats and its SolverDiverged messages.
     """
 
     def __init__(self, domain, curve, grid):
@@ -321,10 +310,10 @@ class _Component:
             out += np.multiply(coef, padded[start:start + size], out=term)
         return out.reshape(ny, width)[:, 1:-1].ravel()
 
-    def solve(self, rhs, rtol, side):
+    def solve(self, rhs, rtol):
         """CG on the unknown block, preconditioned by the flat-strip inverse.
 
-        The preconditioner is the exact inverse of this side's stiffness on
+        The preconditioner is the exact inverse of the stiffness on
         the flat strip of the same mean height (see __init__), so a flat
         curve converges in one iteration and a curved one in a number of
         iterations set by the curve's slope, not by the grid size.  CG
@@ -337,42 +326,40 @@ class _Component:
         progress over the previous one (rtol is below what rounding
         allows), or after MAXITER_FACTOR * nx * ny iterations.  CG runs at
         unit scale, max |rhs| in [1/2, 1), which a power of two reaches
-        exactly, so its inner products neither under- nor overflow.  side
-        names the side in the stats and in SolverDiverged.
+        exactly, so its inner products neither under- nor overflow.
+        Returns (x, SolveStats).
         """
         if not np.any(rhs):
-            return np.zeros(self.n_unknown), ComponentStats(side, 0, 0.0)
+            return np.zeros(self.n_unknown), SolveStats(0, 0.0)
         exponent = np.frexp(np.max(np.abs(rhs)))[1]
         rhs = np.ldexp(rhs, -exponent)
         norm = np.linalg.norm(rhs)
         x, r, count = np.zeros(self.n_unknown), rhs.copy(), 0
         bound, last = rtol * norm, np.inf
         while True:
-            x, count = self._cg(x, r, bound, count, side)
+            x, count = self._cg(x, r, bound, count)
             r = rhs - self._apply(x)
             residual = float(np.linalg.norm(r) / norm)
             if residual <= rtol:
-                return (np.ldexp(x, exponent),
-                        ComponentStats(side, count, residual))
+                return np.ldexp(x, exponent), SolveStats(count, residual)
             if not residual < last:  # also ends a NaN residual
                 raise SolverDiverged(
-                    "CG on %s component stalled at relative residual %.3g "
-                    "> rtol %.3g after %d iterations"
-                    % (side, residual, rtol, count))
+                    "stalled at relative residual %.3g > rtol %.3g after %d "
+                    "iterations" % (residual, rtol, count))
             last, bound = residual, 0.5 * bound
 
-    def _cg(self, x, r, bound, count, side):
+    def _cg(self, x, r, bound, count):
         """Preconditioned CG from x, whose residual is r, until |r| < bound.
 
         The recurrence of scipy.sparse.linalg.cg; x and r are updated in
-        place.  count carries the iterations over restarts, side names the
-        side in SolverDiverged.  Returns (x, count).
+        place.  count carries the iterations over restarts.  Returns
+        (x, count).
         """
         p = rho_prev = None
         while np.linalg.norm(r) >= bound:
             if count >= MAXITER_FACTOR * self.n_unknown:
-                raise SolverDiverged("CG on %s component did not converge in "
-                                     "%d iterations" % (side, count))
+                raise SolverDiverged("did not converge in %d iterations"
+                                     % count)
             z = self._flat_inverse(r)
             rho = r @ z
             if p is None:
@@ -384,8 +371,8 @@ class _Component:
             curvature = p @ q
             if not (0.0 < rho < np.inf and 0.0 < curvature < np.inf):
                 raise SolverDiverged(
-                    "CG on %s component broke down after %d iterations "
-                    "(r.Mr = %.3g, p.Ap = %.3g)" % (side, count, rho, curvature))
+                    "broke down after %d iterations (r.Mr = %.3g, p.Ap = %.3g)"
+                    % (count, rho, curvature))
             alpha = rho / curvature
             x += alpha * p
             r -= alpha * q
@@ -464,8 +451,9 @@ class _Component:
         return out
 
     def energy(self, w, slope):
-        """Dirichlet energy of u = slope * x + w on this side, w of shape
-        (ny + 1, nx): the stiffness form w.Kw + 2 slope d.w[0] + slope^2 area.
+        """Dirichlet energy of u = slope * x + w on the half strip, w of
+        shape (ny + 1, nx): the stiffness form
+        w.Kw + 2 slope d.w[0] + slope^2 area.
 
         Every row of the full stiffness K (wall row included) sums to zero,
         so w.Kw = -sum K_e (w_i - w_j)^2 over the forward couplings e.  That
@@ -609,16 +597,24 @@ class SlitField:
 
 
 def _solve_sides(system, problems, slopes, rtol):
-    """CG on each side for its (rhs, wall row), upper first.
+    """CG on each side for its (rhs, wall row), upper first; the one place
+    that pairs a side's name with a solve.
 
-    Returns (SlitField with the given drift slopes, SolveStats).
+    A SolverDiverged is raised again with "CG on <side> component" before
+    its message.  Returns (SlitField with the given drift slopes,
+    SolveStats).
     """
     rows, parts = [], []
     for (side, comp), (rhs, wall) in zip(system.sides, problems):
-        u, stats = comp.solve(rhs, rtol, side)
+        try:
+            u, stats = comp.solve(rhs, rtol)
+        except SolverDiverged as exc:
+            raise SolverDiverged("CG on %s component %s" % (side, exc)) from None
         rows.append(np.vstack([u.reshape(comp.ny, comp.nx), wall]))
         parts.append(stats)
-    return SlitField(system, *slopes, *rows), SolveStats.combine(rtol, parts)
+    stats = SolveStats(sum(p.iterations for p in parts),
+                       max(p.residual for p in parts), tuple(parts))
+    return SlitField(system, *slopes, *rows), stats
 
 
 def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):

@@ -45,6 +45,8 @@ from . import elliptic, geometry
 from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
+# Node count of the segment's P1 mesh, for the library and the config alike.
+SEGMENT_NODES = 128
 
 
 def _whitening(reduced, basis_t, restriction):
@@ -150,9 +152,12 @@ class TildeGram:
 
 
 def _segment_p1(config, m):
-    """(form, stiffness, mass) of P1 elements on m nodes of [0, L]: sums
-    of the element matrices [[1, -1], [-1, 1]] / h and [[2, 1], [1, 2]] h / 6;
-    the form is the stiffness minus the endpoint curvature terms."""
+    """(form, stiffness, mass) of P1 elements on m >= 16 nodes of [0, L]:
+    sums of the element matrices [[1, -1], [-1, 1]] / h and
+    [[2, 1], [1, 2]] h / 6; the form is the stiffness minus the endpoint
+    curvature terms."""
+    if m < 16:
+        raise ValueError("segment needs at least 16 nodes")
     h = config.length / (m - 1)
     count = np.full(m, 2.0)  # elements meeting at each node
     count[0] = count[-1] = 1.0
@@ -165,14 +170,15 @@ def _segment_p1(config, m):
     return form, stiff, mass
 
 
-def assemble_tilde_gram(config, restriction=None, m=None):
+def assemble_tilde_gram(config, restriction=None, m=SEGMENT_NODES):
     """Build the curve scalar product for a strip curve or a segment.
 
     config is a GraphCurve (periodic strip case: tangential P1 stiffness
     on arclength plus the squared-curvature mass by trapezoid weights)
     or a SegmentConfig (P1 stiffness on [0, L] minus the endpoint
-    curvature terms; m is the node count, default 128).  Default
-    restriction is mean_zero for the strip and none for the segment.
+    curvature terms on m >= 16 nodes; a strip curve brings its own).
+    Default restriction is mean_zero for the strip and none for the
+    segment.
     """
     if isinstance(config, geometry.GraphCurve):
         if restriction is None:
@@ -197,10 +203,6 @@ def assemble_tilde_gram(config, restriction=None, m=None):
     if isinstance(config, geometry.SegmentConfig):
         if restriction is None:
             restriction = "none"
-        if m is None:
-            m = 128
-        if m < 8:
-            raise ValueError("segment needs at least 8 nodes")
         mat = _segment_p1(config, m)[0]
         h = config.length / (m - 1)
         weights = np.full(m, h)
@@ -275,9 +277,8 @@ class TOperator:
             method = "circulant_symbol"
             if values is None:
                 whiten = self.gram.whitening
-                mat = self.dual_matrix
-                values = (np.linalg.eigvalsh(whiten @ mat @ whiten.T)[::-1]
-                          if np.any(mat) else np.zeros(whiten.shape[0]))
+                values = np.linalg.eigvalsh(
+                    whiten @ self.dual_matrix @ whiten.T)[::-1]
                 method = "dense_eigh"
             self._spectrum = (values, EigenStats(method=method)
                               if np.any(values) else
@@ -334,13 +335,14 @@ class TOperator:
 
 @dataclass(frozen=True)
 class EigenStats:
-    """What one eigen call did: iterations is 0 and converged True, as
-    neither route iterates; method names the route, "circulant_symbol" or
-    "dense_eigh", or is "none" exactly when note is set, naming why no
-    eigenvalue was computed (a zero operator or an empty constraint)."""
+    """What one eigen call did.  method names the route, "circulant_symbol"
+    or "dense_eigh", or is "none" exactly when note is set, naming why no
+    eigenvalue was computed (a zero operator or an empty constraint).
+    Neither route iterates, so iterations and converged are constants of
+    the class, 0 and True."""
 
-    iterations: int = 0
-    converged: bool = True
+    iterations = 0
+    converged = True
     note: str = ""
     method: str = "dense_eigh"
 
@@ -406,16 +408,14 @@ def mu(op):
     return 1.0 / float(values[0]), stats
 
 
-def segment_min_eig(config, m=200):
+def segment_min_eig(config, m=SEGMENT_NODES):
     """Smallest eigenvalue of the segment form, H1-normalized.
 
     Dense generalized eigensolve of the segment curve form
     K - h1 e_0 e_0' - h2 e_L e_L' (the matrix of assemble_tilde_gram)
-    against M + K with P1 elements on m nodes; the sign decides
+    against M + K with P1 elements on m >= 16 nodes; the sign decides
     stability of the straight-segment critical pair.
     """
-    if m < 16:
-        raise ValueError("need at least 16 nodes for the segment eigensolve")
     form, stiff, mass = _segment_p1(config, m)
     return float(pencil_eigenvalues(form, mass + stiff)[0])
 

@@ -111,6 +111,20 @@ def test_analyze_segment_verdicts(tmp_path, capsys):
     assert report["results"]["min_eig"]["value"] < 0.0
 
 
+def test_segment_node_count_and_floor_are_the_library_ones(tmp_path, capsys):
+    # with no geometry.m the CLI meshes the segment as the library does,
+    # and the Gram refuses the node counts the eigensolve refuses
+    cfg = write_config(tmp_path, "seg.json", {
+        "geometry": {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert code == 0
+    seg = ms_stability.SegmentConfig(1.0, -1.0, -1.0)
+    assert report["results"]["min_eig"]["value"] == ms_stability.segment_min_eig(seg)
+    for build in (ms_stability.assemble_tilde_gram, ms_stability.segment_min_eig):
+        with pytest.raises(ValueError, match="at least 16 nodes"):
+            build(seg, m=15)
+
+
 def test_phase_diagram_schema_and_determinism(tmp_path, capsys):
     cfg = write_config(tmp_path, "lattice.json", {
         "geometry": {"kind": "strip", "a_values": [1.0], "b_values": [1.0, 2.0]},
@@ -320,6 +334,31 @@ def test_validate_flags_noncritical_curve(tmp_path, capsys):
     assert report["passed"] is False
     assert report["criticality"]["non_critical"] is True
     assert report["checks"]["first_ok"] is False
+
+
+def test_sampled_heights_analyze_as_the_sine_they_sample(tmp_path, capsys):
+    # a geometry.curve.heights list builds the same curve as the sine keys
+    n = 32
+    heights = (0.05 * np.sin(2.0 * np.pi * np.arange(n) / n)).tolist()
+    outputs = []
+    for curve in ({"heights": heights}, {"mode": 1, "amplitude": 0.05}):
+        cfg = write_config(tmp_path, "curve.json", {
+            "geometry": {"kind": "strip", "a": 1.0, "b": 1.0, "curve": curve},
+            "grid": {"nx": n, "ny": n}, "eigen": {"compute_mu": True}})
+        code = main(["analyze", "--config", cfg])
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
+def test_validate_constant_flow_translates_the_flat_pair(tmp_path, capsys):
+    # criterion 5 through the CLI: a constant normal flow translates the
+    # flat pair, whose energy does not change along it
+    cfg = strip_config(tmp_path, validate={"flow": {"kind": "const"}})
+    code, report = run_json(capsys, ["validate", "--config", cfg])
+    assert code == 0
+    assert report["checks"] == {"first_ok": True, "second_ok": True}
+    for key in ("fd_second", "assembled_second", "assembled_dual"):
+        assert abs(report["results"][key]["value"]) <= 1e-12
 
 
 def test_compare_passes_for_resolved_mode(tmp_path, capsys):
@@ -853,6 +892,25 @@ def test_zero_data_gives_empty_operator(tmp_path, capsys):
     eigen = report["stats"]["eigen"]
     assert eigen["method"] == "none"
     assert eigen["size"] == 31
+    assert [v["value"] for v in eigen["leading"]] == [0.0, 0.0, 0.0]
+
+
+def test_zero_data_on_the_dense_route_gives_empty_operator(tmp_path, capsys):
+    # endpoint_zero leaves the Fourier symbol route, so the zero A goes
+    # through the whitened eigvalsh, whose values are exactly zero
+    cfg = write_config(tmp_path, "zero.json", {
+        "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                     "boundary": {"top": {"slope": 0.0},
+                                  "bottom": {"slope": 0.0}}},
+        "grid": {"nx": 32, "ny": 32},
+        "eigen": {"compute_mu": True, "restriction": "endpoint_zero"}})
+    code, report = run_json(capsys, ["analyze", "--config", cfg])
+    assert code == 0
+    assert report["results"]["mu"]["infinite"] is True
+    notes = " ".join(report["notes"])
+    assert "operator is zero" in notes and "empty constraint" in notes
+    eigen = report["stats"]["eigen"]
+    assert eigen["method"] == "none"
     assert [v["value"] for v in eigen["leading"]] == [0.0, 0.0, 0.0]
 
 

@@ -22,7 +22,7 @@ def test_separated_drift_state_is_exact_at_nodes(unit_strip_state):
     np.testing.assert_allclose(state.trace("lower"), -x, atol=1e-12)
     assert np.max(np.abs(state.w_upper - 1.0)) < 1e-12
     assert np.max(np.abs(state.w_lower)) < 1e-12
-    assert stats.residual <= stats.rtol
+    assert stats.residual <= 1e-10  # flat_setup's rtol
 
 
 def test_state_energy_is_exact_for_drift_data():
@@ -389,12 +389,12 @@ def test_flat_curves_converge_in_one_preconditioned_step(a, b, nx, ny, level):
     curve = ms.GraphCurve(b, np.full(nx, level * a))
     state, stats = ms.solve_state(domain, curve, ms.Grid(nx, ny))
     assert all(1 <= n <= 2 for n in side_iterations(stats))
-    assert stats.residual <= stats.rtol
+    assert stats.residual <= elliptic.DEFAULT_RTOL
     x = curve.abscissae
     phi = np.cos(2.0 * math.pi * x / b) + 0.3 * np.sin(6.0 * math.pi * x / b)
     _, jump_stats = ms.solve_jump_source(state, phi)
     assert all(1 <= n <= 2 for n in side_iterations(jump_stats))
-    assert jump_stats.residual <= jump_stats.rtol
+    assert jump_stats.residual <= elliptic.DEFAULT_RTOL
 
 
 def test_iteration_count_does_not_grow_with_the_grid():
@@ -464,7 +464,7 @@ def test_preconditioned_cg_on_random_curves(problem):
         assert r @ mr > 0.0 and q @ mq > 0.0
         assert abs(q @ mr - r @ mq) <= 1e-12 * math.sqrt((q @ mq) * (r @ mr))
         rhs = rng.standard_normal(comp.n_unknown)
-        x, stats = comp.solve(rhs, rtol=1e-12, side="upper")
+        x, stats = comp.solve(rhs, rtol=1e-12)
         assert stats.residual <= 1e-12
         exact = scipy.sparse.linalg.spsolve(comp.a_uu.tocsc(), rhs)
         assert np.linalg.norm(x - exact) <= 1e-8 * np.linalg.norm(exact)
@@ -482,16 +482,16 @@ def test_cg_stop_is_confirmed_on_the_true_residual(monkeypatch):
     real_cg = elliptic._Component._cg
     runs = []
 
-    def early_stop(self, x, r, bound, count, side):
+    def early_stop(self, x, r, bound, count):
         if not runs:
             bound = 0.9 * np.linalg.norm(r)
         runs.append(x.copy())
-        x, count = real_cg(self, x, r, bound, count, side)
+        x, count = real_cg(self, x, r, bound, count)
         runs.append(x.copy())
         return x, count
 
     monkeypatch.setattr(elliptic._Component, "_cg", early_stop)
-    x, stats = comp.solve(rhs, rtol=1e-10, side="upper")
+    x, stats = comp.solve(rhs, rtol=1e-10)
     assert len(runs) == 4
     assert not np.any(runs[0]) and np.any(runs[1])
     np.testing.assert_array_equal(runs[2], runs[1])  # resumed from x
@@ -605,13 +605,13 @@ def test_shared_lower_side_solves_as_a_separately_built_one():
     a, b, n = 0.8, 1.3, 32
     domain, curve, grid = overtone_domain(a, b), ms.flat_curve(b, n), ms.Grid(n, n)
     field, stats = ms.solve_state(domain, curve, grid)
-    assert [part.side for part in stats.components] == ["upper", "lower"]
+    assert len(stats.components) == 2
     assert stats.components[1].iterations > 0
     alone = elliptic._Component(domain, ms.GraphCurve(b, -curve.heights), grid)
     wall = domain.bottom.sample(curve.abscissae)
     rhs = -alone.wall_coupling(wall)
     rhs[:n] -= domain.bottom.slope * alone._drift
-    w, _ = alone.solve(rhs, elliptic.DEFAULT_RTOL, "lower")
+    w, _ = alone.solve(rhs, elliptic.DEFAULT_RTOL)
     assert np.array_equal(field.w_lower[:-1].ravel(), w)
     assert np.array_equal(field.system.lower.curve_block_inverse(),
                           alone.curve_block_inverse())
