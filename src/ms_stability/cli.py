@@ -322,10 +322,10 @@ def _run_compare(cfg):
     if a is None or b is None:
         raise ConfigInvalid("compare needs geometry.a and geometry.b")
     n_fine = cfg.grid_nx
-    n_coarse = max(16, n_fine // 2)
+    n_coarse = max(elliptic.MIN_GRID, n_fine // 2)
     if n_coarse == n_fine:
-        raise ConfigInvalid("compare needs grid.nx > 16 to have a coarser "
-                            "grid for its convergence orders")
+        raise ConfigInvalid("compare needs grid.nx > %d to have a coarser "
+                            "grid for its convergence orders" % elliptic.MIN_GRID)
 
     # the probes use the canonical wall pair whatever geometry.boundary says
     domain = GeometrySpec("strip").strip_domain(a, b)
@@ -443,8 +443,8 @@ def _parse_grid_flag(text):
         nx, ny = int(parts[0]), int(parts[1])
     except ValueError:
         raise ConfigInvalid("--grid expects integers, got %r" % text)
-    if nx < 16 or ny < 16:
-        raise ConfigInvalid("--grid sizes must be >= 16")
+    if min(nx, ny) < elliptic.MIN_GRID:
+        raise ConfigInvalid("--grid sizes must be >= %d" % elliptic.MIN_GRID)
     return nx, ny
 
 

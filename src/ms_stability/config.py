@@ -16,7 +16,8 @@ import numpy as np
 
 from . import elliptic, geometry, validation
 from .errors import ConfigInvalid
-from .second_variation import RESTRICTIONS, SEGMENT_NODES
+from .second_variation import (DEFAULT_BAND, MIN_SEGMENT_NODES, RESTRICTIONS,
+                               SEGMENT_NODES)
 
 SECTIONS = ("geometry", "grid", "solver", "eigen", "validate", "output")
 
@@ -172,9 +173,7 @@ def _parse_curve(parent, path):
     obj = _section(parent, "curve", path,
                    {"heights", "mode", "amplitude", "phase"})
     heights = obj.get("heights", "flat")
-    if isinstance(heights, str):
-        if heights != "flat":
-            raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
+    if heights == "flat":
         if "mode" in obj or "amplitude" in obj or "phase" in obj:
             return CurveSpec(
                 kind="sine",
@@ -257,7 +256,8 @@ def _parse_geometry(obj):
             length=_number(obj, "length", path, required=True, positive=True),
             h1=_number(obj, "h1", path, required=True),
             h2=_number(obj, "h2", path, required=True),
-            m=_integer(obj, "m", path, default=SEGMENT_NODES, minimum=16),
+            m=_integer(obj, "m", path, default=SEGMENT_NODES,
+                       minimum=MIN_SEGMENT_NODES),
         )
     raise ConfigInvalid("geometry.kind must be 'strip' or 'segment'")
 
@@ -265,7 +265,7 @@ def _parse_geometry(obj):
 @dataclass(frozen=True)
 class EigenSpec:
     restriction: str = "mean_zero"
-    band: float = 0.02
+    band: float = DEFAULT_BAND
     compute_mu: bool = False
     modes: tuple = (2, 4, 6)
 
@@ -314,8 +314,10 @@ def parse_config(data):
     geom = _parse_geometry(data["geometry"])
 
     grid = _section(data, "grid", "grid", {"nx", "ny"})
-    nx = _integer(grid, "nx", "grid", default=RunConfig.grid_nx, minimum=16)
-    ny = _integer(grid, "ny", "grid", default=RunConfig.grid_ny, minimum=16)
+    nx = _integer(grid, "nx", "grid", default=RunConfig.grid_nx,
+                  minimum=elliptic.MIN_GRID)
+    ny = _integer(grid, "ny", "grid", default=RunConfig.grid_ny,
+                  minimum=elliptic.MIN_GRID)
 
     solver = _section(data, "solver", "solver", {"rtol"})
     rtol = _number(solver, "rtol", "solver", default=RunConfig.rtol,

@@ -44,8 +44,8 @@ transform across the rows, one FFT along the period).  On a flat curve
 that is the exact inverse, so CG stops after one iteration; on a curved
 one the iteration count depends on the curve's slope, not on the grid.
 
-Every solve, curved meshes included, runs on NumPy alone.  SciPy is
-imported only to build the CSR matrix a_uu, which no solve reads.
+Every solve, curved meshes included, runs on NumPy alone; SciPy, from
+the test extra, only builds the CSR copy a_uu, which no solve reads.
 """
 
 import functools
@@ -122,6 +122,7 @@ def _slab_of(dj, di):
 
 DEFAULT_RTOL = 1e-10
 MAXITER_FACTOR = 50
+MIN_GRID = 16  # fewest columns and rows per side: library, config and CLI
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,8 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if self.nx < 16 or self.ny < 16:
-            raise ValueError("grid needs nx >= 16 and ny >= 16")
+        if self.nx < MIN_GRID or self.ny < MIN_GRID:
+            raise ValueError("grid needs nx >= {0} and ny >= {0}".format(MIN_GRID))
 
 
 @dataclass(frozen=True)
@@ -264,15 +265,6 @@ class _Component:
         k, sj, si = _slab_of(dj, di)
         return self._slabs[k, 1 + sj:1 + sj + self.ny, 1 + si:1 + si + self.nx]
 
-    @property
-    def _stencil(self):
-        """All nine couplings as one (j, dj + 1, di + 1, i) array.
-
-        Built anew on each read, for a_uu and tests; the solver reads the
-        slabs."""
-        nine = [self._coupling(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
-        return np.stack(nine, axis=1).reshape(self.ny, 3, 3, self.nx)
-
     def _flat_inverse(self, r):
         """Exact inverse of the flat-strip operator applied to r."""
         coef = self._cos_y.T @ r.reshape(self.ny, self.nx)
@@ -282,9 +274,9 @@ class _Component:
 
     @functools.cached_property
     def a_uu(self):
-        """The stiffness of the unknown rows as a CSR matrix, built on first
-        use.  The solver never reads it; it serves inspection and tests."""
-        return _stencil_csr(self._stencil)
+        """The unknown rows' stiffness as a CSR matrix, built on first use
+        with SciPy (test extra); only inspection and tests read it."""
+        return _stencil_csr(self)
 
     def _apply(self, v):
         """a_uu @ v straight from the slabs.
@@ -442,12 +434,11 @@ class _Component:
         return x
 
     def wall_coupling(self, wall):
-        """a_ud @ wall: row ny - 1 meets the wall through its dj = +1 entries."""
-        nx = self.nx
-        ghost = np.concatenate([wall[-1:], wall, wall[:1]])  # wall[i - 1 + k]
+        """a_ud @ wall: row ny - 1 meets the wall through its (1, di)
+        couplings, the periodic tridiagonal product of _rolled_rows."""
         out = np.zeros(self.n_unknown)
-        out[-nx:] = sum(self._coupling(1, di)[-1] * ghost[k:k + nx]
-                        for k, di in enumerate((-1, 0, 1)))
+        coefs = [self._coupling(1, di)[-1] for di in (-1, 0, 1)]
+        out[-self.nx:] = _rolled_rows(coefs, wall[:, None])[:, 0]
         return out
 
     def energy(self, w, slope):
@@ -506,15 +497,18 @@ def _rolled_rows(coef, y):
     return out
 
 
-def _stencil_csr(stencil):
-    """CSR matrix of the unknown rows of a node stencil, sorted per row.
+def _stencil_csr(comp):
+    """CSR matrix of a half strip's unknown rows, sorted per row (SciPy).
 
-    Row (j, i) holds columns (j + dj, i + di) for dj, di in -1..1, except
-    dj = -1 on the curve row and the wall (dj = +1) on row ny - 1.
+    Row (j, i) holds the coupling (dj, di) at column (j + dj, i + di) for
+    dj, di in -1..1, except dj = -1 on the curve row and the wall
+    (dj = +1) on row ny - 1.
     """
     import scipy.sparse
 
-    ny, nx = stencil.shape[0], stencil.shape[-1]
+    ny, nx = comp.ny, comp.nx
+    nine = [comp._coupling(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+    stencil = np.stack(nine, axis=1).reshape(ny, 3, 3, nx)
     j, dj, di, i = np.indices(stencil.shape)
     row = j + dj - 1
     keep = (row >= 0) & (row < ny)

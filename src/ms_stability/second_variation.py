@@ -45,8 +45,10 @@ from . import elliptic, geometry
 from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
-# Node count of the segment's P1 mesh, for the library and the config alike.
-SEGMENT_NODES = 128
+# One home for the library's and the config's defaults and floors.
+SEGMENT_NODES = 128  # nodes of the segment's P1 mesh
+MIN_SEGMENT_NODES = 16
+DEFAULT_BAND = 0.02  # half width of the marginal verdict band around 1
 
 
 def _whitening(reduced, basis_t, restriction):
@@ -152,12 +154,12 @@ class TildeGram:
 
 
 def _segment_p1(config, m):
-    """(form, stiffness, mass) of P1 elements on m >= 16 nodes of [0, L]:
-    sums of the element matrices [[1, -1], [-1, 1]] / h and
-    [[2, 1], [1, 2]] h / 6; the form is the stiffness minus the endpoint
-    curvature terms."""
-    if m < 16:
-        raise ValueError("segment needs at least 16 nodes")
+    """(form, stiffness, mass) of P1 elements on m >= MIN_SEGMENT_NODES
+    nodes of [0, L]: sums of the element matrices [[1, -1], [-1, 1]] / h
+    and [[2, 1], [1, 2]] h / 6; the form is the stiffness minus the
+    endpoint curvature terms."""
+    if m < MIN_SEGMENT_NODES:
+        raise ValueError("segment needs at least %d nodes" % MIN_SEGMENT_NODES)
     h = config.length / (m - 1)
     count = np.full(m, 2.0)  # elements meeting at each node
     count[0] = count[-1] = 1.0
@@ -176,9 +178,9 @@ def assemble_tilde_gram(config, restriction=None, m=SEGMENT_NODES):
     config is a GraphCurve (periodic strip case: tangential P1 stiffness
     on arclength plus the squared-curvature mass by trapezoid weights)
     or a SegmentConfig (P1 stiffness on [0, L] minus the endpoint
-    curvature terms on m >= 16 nodes; a strip curve brings its own).
-    Default restriction is mean_zero for the strip and none for the
-    segment.
+    curvature terms on m >= MIN_SEGMENT_NODES nodes; a strip curve brings
+    its own).  Default restriction is mean_zero for the strip and none for
+    the segment.
     """
     if isinstance(config, geometry.GraphCurve):
         if restriction is None:
@@ -413,14 +415,14 @@ def segment_min_eig(config, m=SEGMENT_NODES):
 
     Dense generalized eigensolve of the segment curve form
     K - h1 e_0 e_0' - h2 e_L e_L' (the matrix of assemble_tilde_gram)
-    against M + K with P1 elements on m >= 16 nodes; the sign decides
-    stability of the straight-segment critical pair.
+    against M + K with P1 elements on m >= MIN_SEGMENT_NODES nodes; the
+    sign decides stability of the straight-segment critical pair.
     """
     form, stiff, mass = _segment_p1(config, m)
     return float(pencil_eigenvalues(form, mass + stiff)[0])
 
 
-def verdict_from_eigenvalue(lam, band=0.02):
+def verdict_from_eigenvalue(lam, band=DEFAULT_BAND):
     """Stability verdict from lambda_1 with a marginal band around 1."""
     if lam < 1.0 - band:
         return "strictly_stable"
@@ -429,7 +431,7 @@ def verdict_from_eigenvalue(lam, band=0.02):
     return "marginal"
 
 
-def verdict_from_min_eig(min_eig, band=0.02):
+def verdict_from_min_eig(min_eig, band=DEFAULT_BAND):
     """Segment verdict from the smallest normalized form eigenvalue."""
     if min_eig > band:
         return "strictly_stable"

@@ -508,6 +508,45 @@ def test_usage_errors_exit_2(argv, capsys):
     assert "usage: ms-stability" in capsys.readouterr().err
 
 
+LATTICE_ONLY = {"kind": "strip", "a_values": [1.0], "b_values": [1.0]}
+SEGMENT = {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}
+
+
+@pytest.mark.parametrize("command,geometry,flags,message", [
+    ("analyze", LATTICE_ONLY, [], "geometry.a and geometry.b are required here"),
+    ("compare", LATTICE_ONLY, [], "compare needs geometry.a and geometry.b"),
+    ("oracle", LATTICE_ONLY, [], "oracle needs geometry.a and geometry.b"),
+    ("validate", SEGMENT, [], "validate requires geometry.kind = strip"),
+    ("phase-diagram", SEGMENT, [],
+     "phase-diagram requires geometry.kind = strip"),
+    ("compare", SEGMENT, [], "compare requires geometry.kind = strip"),
+    ("analyze", {"kind": "strip", "a": 1.0, "b": 1.0}, ["--grid", "a,b"],
+     "--grid expects integers, got 'a,b'"),
+    ("analyze", {"kind": "strip", "a": 1.0, "b": 1.0}, ["--grid", "8,8"],
+     "--grid sizes must be >= 16"),
+], ids=["analyze-no-a-b", "compare-no-a-b", "oracle-no-a-b",
+        "validate-segment", "phase-diagram-segment", "compare-segment",
+        "grid-not-integers", "grid-below-floor"])
+def test_config_errors_exit_1_with_one_line(tmp_path, capsys, command,
+                                            geometry, flags, message):
+    cfg = write_config(tmp_path, "cfg.json", {"geometry": geometry,
+                                              "grid": {"nx": 16, "ny": 16}})
+    assert main([command, "--config", cfg] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ConfigInvalid: %s\n" % message
+
+
+def test_config_that_is_not_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("{geometry: strip}")
+    assert main(["analyze", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigInvalid: config is not valid "
+                                   "JSON: ")
+
+
 def test_jobs_must_be_positive(tmp_path, capsys):
     cfg = strip_config(tmp_path)
     assert main(["analyze", "--config", cfg, "--jobs", "0"]) == 1
@@ -667,6 +706,19 @@ def test_missing_config_file(tmp_path, capsys):
     assert "ConfigInvalid" in capsys.readouterr().err
 
 
+def strip_geometry(**keys):
+    return {"geometry": dict({"kind": "strip", "a": 1.0, "b": 1.0}, **keys)}
+
+
+def segment_geometry(**keys):
+    return {"geometry": dict({"kind": "segment", "length": 1.0, "h1": -1.0,
+                              "h2": -1.0}, **keys)}
+
+
+def with_section(name, **keys):
+    return dict(strip_geometry(), **{name: keys})
+
+
 @pytest.mark.parametrize("data,needle", [
     ({"geometry": {"kind": "disk"}}, "geometry.kind"),
     ({"geometry": {"kind": "strip", "a": -1.0, "b": 1.0}}, "geometry.a"),
@@ -742,6 +794,20 @@ def test_missing_config_file(tmp_path, capsys):
     # the oracle's mode law starts at 2
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
       "eigen": {"modes": [0]}}, "eigen.modes[0]"),
+    # a section, list or flag of the wrong shape
+    ({}, "missing required section: geometry"),
+    (dict(strip_geometry(), grid=5), "grid must be an object"),
+    (strip_geometry(a_values=1.0), "geometry.a_values must be a list"),
+    (strip_geometry(boundary={"top": {"cos": 5}}),
+     "geometry.boundary.top.cos must be a list of [mode, amplitude]"),
+    (strip_geometry(boundary={"top": {"cos": [[1]]}}),
+     "geometry.boundary.top.cos[0] must be [mode, amplitude]"),
+    (strip_geometry(curve={"heights": "wavy"}),
+     "geometry.curve.heights must be 'flat' or a list"),
+    (with_section("eigen", compute_mu=1), "eigen.compute_mu must be true or false"),
+    (with_section("eigen", modes=[]),
+     "eigen.modes must be a non-empty list of integers"),
+    (with_section("output", path=5), "output.path must be a string"),
 ], ids=["kind", "negative-a", "restriction", "flow-kind", "format",
         "heights-length", "overtone-mode", "missing-h2",
         "heights-number-with-sine-keys", "heights-object-with-sine-keys",
@@ -750,23 +816,13 @@ def test_missing_config_file(tmp_path, capsys):
         "huge-overtone-amplitude", "huge-height", "huge-a-value",
         "huge-b-value", "huge-curve-mode", "huge-flow-mode", "huge-eigen-mode",
         "huge-overtone-mode", "rtol-one", "heights-with-mode",
-        "heights-with-amplitude", "heights-with-phase", "eigen-mode-zero"])
+        "heights-with-amplitude", "heights-with-phase", "eigen-mode-zero",
+        "no-geometry", "grid-not-object", "a-values-not-list",
+        "overtones-not-list", "overtone-not-pair", "heights-word",
+        "compute-mu-int", "modes-empty", "output-path-int"])
 def test_config_rejections(data, needle):
     with pytest.raises(ConfigInvalid, match=re.escape(needle)):
         parse_config(data)
-
-
-def strip_geometry(**keys):
-    return {"geometry": dict({"kind": "strip", "a": 1.0, "b": 1.0}, **keys)}
-
-
-def segment_geometry(**keys):
-    return {"geometry": dict({"kind": "segment", "length": 1.0, "h1": -1.0,
-                              "h2": -1.0}, **keys)}
-
-
-def with_section(name, **keys):
-    return dict(strip_geometry(), **{name: keys})
 
 
 # Every number a config holds: (key path, rule, config with the value at it).

@@ -303,15 +303,15 @@ def test_stiffness_is_exactly_symmetric_on_curved_meshes(n, amplitude):
 
 def test_solve_path_never_builds_the_nine_point_array(monkeypatch):
     # The solver, the wall coupling and the row sweep read the five slabs;
-    # the (j, dj, di, i) array is built only for a_uu and tests.
+    # the nine-point CSR matrix is built only for a_uu.
     reads = []
-    nine_point = elliptic._Component._stencil
+    build = elliptic._stencil_csr
 
-    def counted(self):
-        reads.append(self)
-        return nine_point.fget(self)
+    def counted(comp):
+        reads.append(comp)
+        return build(comp)
 
-    monkeypatch.setattr(elliptic._Component, "_stencil", property(counted))
+    monkeypatch.setattr(elliptic, "_stencil_csr", counted)
     curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
     state, _ = ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32))
     ms.solve_jump_source(state, np.cos(2.0 * math.pi * curve.abscissae))
@@ -524,6 +524,24 @@ def test_unattainable_rtol_raises_instead_of_spinning(amplitude):
     with pytest.raises(SolverDiverged, match="stalled"):
         ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32),
                        rtol=1e-20)
+
+
+def test_iteration_cap_names_the_side(monkeypatch):
+    monkeypatch.setattr(elliptic, "MAXITER_FACTOR", 0)
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
+    with pytest.raises(SolverDiverged, match="^CG on upper component did not "
+                       "converge in 0 iterations$"):
+        ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32))
+
+
+def test_indefinite_preconditioner_breaks_down(monkeypatch):
+    flat_inverse = elliptic._Component._flat_inverse
+    monkeypatch.setattr(elliptic._Component, "_flat_inverse",
+                        lambda self, r: -flat_inverse(self, r))
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
+    with pytest.raises(SolverDiverged, match=r"^CG on upper component broke "
+                       r"down after 0 iterations \(r\.Mr = -"):
+        ms.solve_state(wavy_wall_domain(1.0, 1.0), curve, ms.Grid(32, 32))
 
 
 @settings(max_examples=25, deadline=None)

@@ -120,6 +120,31 @@ def test_flow_validation_errors():
         ms.FlowSpec(direction=np.ones(16), half_height=1.0, cutoff_margin=2.0)
 
 
+def test_strip_domain_validation():
+    zero = ms.BoundaryData(0.0)
+    with pytest.raises(ValueError, match="half_height must be positive"):
+        ms.StripDomain(0.0, 1.0, zero, zero)
+    with pytest.raises(ValueError, match="period must be positive and finite"):
+        ms.StripDomain(1.0, math.inf, zero, zero)
+    with pytest.raises(ValueError, match="drift slope must be finite"):
+        ms.StripDomain(1.0, 1.0, zero, ms.BoundaryData(math.nan))
+
+
+def test_flow_spec_validation():
+    with pytest.raises(ValueError, match="flow direction must be finite"):
+        ms.FlowSpec(direction=np.full(16, math.nan), half_height=1.0)
+    with pytest.raises(ValueError, match="flow steps must be finite"):
+        ms.FlowSpec(direction=np.ones(16), half_height=1.0,
+                    steps=(0.1, math.inf))
+
+
+def test_scalar_periodic_datum_broadcasts_to_the_abscissae():
+    x = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    values = ms.BoundaryData(0.0, lambda x: 2.0).sample(x)
+    assert values.dtype == float and values.shape == x.shape
+    assert np.all(values == 2.0)
+
+
 def test_graph_curve_validation():
     with pytest.raises(ValueError):
         ms.GraphCurve(1.0, np.zeros(4))  # too few samples

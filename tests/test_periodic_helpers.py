@@ -115,5 +115,6 @@ def test_wall_coupling_equals_the_roll_formula(data):
     wall = rng.standard_normal(curve.m)
     ref = np.zeros(comp.n_unknown)
     ref[-curve.m:] = sum(c * np.roll(wall, 1 - k)
-                         for k, c in enumerate(comp._stencil[-1, 2]))
+                         for k, c in enumerate(comp._coupling(1, di)[-1]
+                                               for di in (-1, 0, 1)))
     assert np.array_equal(comp.wall_coupling(wall), ref)

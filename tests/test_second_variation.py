@@ -71,6 +71,11 @@ def test_restriction_bases():
         ms.assemble_tilde_gram(curve, restriction="weird")
 
 
+def test_gram_refuses_what_is_neither_a_curve_nor_a_segment():
+    with pytest.raises(TypeError, match="GraphCurve or a SegmentConfig"):
+        ms.assemble_tilde_gram("curve")
+
+
 def test_unrestricted_flat_gram_is_singular():
     curve = ms.flat_curve(1.0, 32)
     gram = ms.assemble_tilde_gram(curve, restriction="none")

@@ -59,6 +59,12 @@ def test_fd_sample_validation():
         ms.fd_derivatives([0.0, 0.01], [1.0])
 
 
+def test_fd_refuses_step_sizes_within_rounding():
+    h1, h2 = 0.01, 0.01 * (1.0 + 1e-13)
+    with pytest.raises(InsufficientSamples, match="step sizes must be distinct"):
+        ms.fd_derivatives([-h2, -h1, 0.0, h1, h2], np.ones(5))
+
+
 # ------------------------------------------------------ criticality
 
 def test_flat_drift_pair_is_critical(unit_strip_state):
