@@ -3,12 +3,12 @@
 The ambient domain is the periodic strip [0, b) x (-a, a).  A
 discontinuity curve is stored as a periodic graph y = psi(x) sampled at m
 uniformly spaced abscissae; the curve must stay strictly inside the
-strip.  Perturbations of the curve are vertical flows psi + t * phi with
-a cutoff margin keeping the flowed curve away from the horizontal walls.
+strip.  Perturbations of the curve are vertical flows psi + t * phi that
+keep the flowed curve a/8 away from the horizontal walls.
 
 Sign convention: curvature is reported with respect to the upward unit
-normal of the graph, so a downward-bulging (concave) bump has H < 0 at
-its apex.
+normal of the graph, so a bump whose apex is a maximum (a cap) has
+H < 0 there, and a dip whose apex is a minimum (a cup) has H > 0.
 """
 
 from dataclasses import dataclass, field
@@ -159,24 +159,20 @@ class FlowSpec:
     """Vertical normal flow of a curve: direction samples and time steps.
 
     direction[i] multiplies the flow time on node i.  half_height is the
-    strip parameter a; the flowed curve must keep the distance
-    cutoff_margin (default a/8) from the walls, otherwise flow_curve
-    raises CurveEscapesStrip.
+    strip parameter a; the flowed curve must keep the distance a/8 from
+    the walls, otherwise flow_curve raises CurveEscapesStrip.
     """
 
     direction: np.ndarray
     half_height: float
-    cutoff_margin: float = None
     steps: tuple = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _as_readonly_array(self.direction))
-        if self.cutoff_margin is None:
-            object.__setattr__(self, "cutoff_margin", self.half_height / 8.0)
         if not np.all(np.isfinite(self.direction)):
             raise ValueError("flow direction must be finite")
-        if not (0 <= self.cutoff_margin < self.half_height):
-            raise ValueError("cutoff margin must lie in [0, half_height)")
+        if not (np.isfinite(self.half_height) and self.half_height > 0):
+            raise ValueError("half_height must be positive and finite")
         steps = tuple(float(t) for t in self.steps)
         if any(not np.isfinite(t) for t in steps):
             raise ValueError("flow steps must be finite")
@@ -186,15 +182,15 @@ class FlowSpec:
 def flow_curve(curve, flow, t):
     """Flow the curve by time t: heights become psi + t * direction.
 
-    Raises CurveEscapesStrip when the flowed curve enters the cutoff band
-    near the walls y = +-half_height.
+    Raises CurveEscapesStrip when the flowed curve comes within
+    half_height / 8 of the walls y = +-half_height.
     """
     if not isinstance(t, numbers.Real) or not np.isfinite(t):
         raise ValueError("flow time must be a finite real number")
     if flow.direction.size != curve.m:
         raise ValueError("flow direction and curve sample counts differ")
     moved = GraphCurve(curve.period, curve.heights + float(t) * flow.direction)
-    moved.require_inside(flow.half_height, flow.cutoff_margin)
+    moved.require_inside(flow.half_height, flow.half_height / 8.0)
     return moved
 
 
@@ -218,7 +214,7 @@ def curvature(curve):
     """Signed curvature samples H_i = psi'' / (1 + psi'^2)^(3/2).
 
     Uses the upward-normal sign convention of the module docstring: a
-    concave bump dipping into the lower half gives H < 0 at the apex.
+    bump whose apex is a maximum gives H < 0 there, a dip gives H > 0.
     """
     d1, d2 = curve.derivatives
     return d2 / np.power(1.0 + d1 * d1, 1.5)

@@ -172,14 +172,14 @@ def _segment_p1(config, m):
     return form, stiff, mass
 
 
-def assemble_tilde_gram(config, restriction=None, m=SEGMENT_NODES):
+def assemble_tilde_gram(config, restriction=None):
     """Build the curve scalar product for a strip curve or a segment.
 
     config is a GraphCurve (periodic strip case: tangential P1 stiffness
     on arclength plus the squared-curvature mass by trapezoid weights)
     or a SegmentConfig (P1 stiffness on [0, L] minus the endpoint
-    curvature terms on m >= MIN_SEGMENT_NODES nodes; a strip curve brings
-    its own).  Default restriction is mean_zero for the strip and none for
+    curvature terms on SEGMENT_NODES nodes; a strip curve brings its
+    own).  Default restriction is mean_zero for the strip and none for
     the segment.
     """
     if isinstance(config, geometry.GraphCurve):
@@ -205,6 +205,7 @@ def assemble_tilde_gram(config, restriction=None, m=SEGMENT_NODES):
     if isinstance(config, geometry.SegmentConfig):
         if restriction is None:
             restriction = "none"
+        m = SEGMENT_NODES
         mat = _segment_p1(config, m)[0]
         h = config.length / (m - 1)
         weights = np.full(m, h)
@@ -414,9 +415,10 @@ def segment_min_eig(config, m=SEGMENT_NODES):
     """Smallest eigenvalue of the segment form, H1-normalized.
 
     Dense generalized eigensolve of the segment curve form
-    K - h1 e_0 e_0' - h2 e_L e_L' (the matrix of assemble_tilde_gram)
-    against M + K with P1 elements on m >= MIN_SEGMENT_NODES nodes; the
-    sign decides stability of the straight-segment critical pair.
+    K - h1 e_0 e_0' - h2 e_L e_L' (at m = SEGMENT_NODES, the matrix of
+    assemble_tilde_gram) against M + K with P1 elements on
+    m >= MIN_SEGMENT_NODES nodes; the sign decides stability of the
+    straight-segment critical pair.
     """
     form, stiff, mass = _segment_p1(config, m)
     return float(pencil_eigenvalues(form, mass + stiff)[0])

@@ -25,7 +25,8 @@ JUMP_THRESHOLD = 1e-8
 
 @dataclass(frozen=True)
 class CriticalityReport:
-    """Discrete transmission-condition residuals of a solved state."""
+    """Discrete transmission-condition residuals of a solved state:
+    f = |grad_t u-|^2 - |grad_t u+|^2 - H at each curve node."""
 
     sup_residual: float
     residuals: np.ndarray
@@ -34,18 +35,19 @@ class CriticalityReport:
     jump_ok: bool
 
 
-def criticality_residuals(state, jump_threshold=JUMP_THRESHOLD):
-    """Transmission residual f = |grad_t u-|^2 - |grad_t u+|^2 + H per node.
+def criticality_residuals(state):
+    """Transmission residual f = |grad_t u-|^2 - |grad_t u+|^2 - H per node.
 
-    A genuine critical pair has f identically zero along the curve and a
-    jump bounded away from zero; the report records the worst node of
-    each.  The jump flag trips when min |u+ - u-| falls below the
-    threshold (e.g. for identical wall data on both sides).
+    A genuine critical pair has H = |grad_t u-|^2 - |grad_t u+|^2, so f
+    vanishes along the curve, and a jump bounded away from zero; the
+    report records the worst node of each.  The jump flag trips when
+    min |u+ - u-| falls to JUMP_THRESHOLD (e.g. for identical wall data
+    on both sides).
     """
     grad_plus = state.tangential_gradient("upper")
     grad_minus = state.tangential_gradient("lower")
     curvature = geometry.curvature(state.system.curve)
-    residuals = grad_minus ** 2 - grad_plus ** 2 + curvature
+    residuals = grad_minus ** 2 - grad_plus ** 2 - curvature
     jump = np.abs(state.jump())
     worst = int(np.argmin(jump))
     min_jump = float(jump[worst])
@@ -54,35 +56,27 @@ def criticality_residuals(state, jump_threshold=JUMP_THRESHOLD):
         residuals=residuals,
         min_jump=min_jump,
         argmin_jump=float(state.system.abscissae[worst]),
-        jump_ok=min_jump > jump_threshold,
+        jump_ok=min_jump > JUMP_THRESHOLD,
     )
 
 
 def total_energy(domain, curve, grid, rtol=elliptic.DEFAULT_RTOL):
     """Bulk Dirichlet energy plus curve length for the solved state."""
-    state, stats = elliptic.solve_state(domain, curve, grid, rtol=rtol)
-    return elliptic.dirichlet_energy(state) + geometry.curve_length(curve), stats
+    state, _ = elliptic.solve_state(domain, curve, grid, rtol=rtol)
+    return elliptic.dirichlet_energy(state) + geometry.curve_length(curve)
 
 
-def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL,
-                      energy_at_zero=None):
+def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL):
     """Energy samples g(t) along the vertical flow, in the order of steps.
 
     Each step re-solves the state on the flowed geometry; the reduction
-    order is fixed so repeated runs are bit-identical.  A caller that has
-    already solved the unflowed curve passes its total energy as
-    energy_at_zero, which then stands for the t = 0 sample (the flow at
-    t = 0 returns the curve's heights unchanged, so a re-solve would give
-    the same bits).
+    order is fixed so repeated runs are bit-identical.
     """
     ts = np.array(flow.steps, dtype=float)
     gs = np.empty_like(ts)
     for k, t in enumerate(flow.steps):
-        if t == 0.0 and energy_at_zero is not None:
-            gs[k] = energy_at_zero
-            continue
         moved = geometry.flow_curve(curve, flow, t)
-        gs[k], _ = total_energy(domain, moved, grid, rtol=rtol)
+        gs[k] = total_energy(domain, moved, grid, rtol=rtol)
     return ts, gs
 
 
@@ -174,9 +168,9 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     Solves the state on the base curve and takes from it the
     transmission residuals, the base energy and the assembled quadratic
     form (one transport solve), then drops it.  Only then does it flow
-    the curve by psi at times {0, +-step, +-2 step} and re-solve the
-    state at each nonzero time (t = 0 reuses the base energy), so at most
-    one assembled StripSystem is alive at a time.  Finally it
+    the curve by psi at times {+-step, +-2 step} and re-solve the state
+    at each (the base energy is the t = 0 sample), so at most one
+    assembled StripSystem is alive at a time.  Finally it
     Richardson-extrapolates g'(0) and g''(0) and compares g''(0) with
     the assembled form.  The first derivative must vanish relative to
     the base energy for a critical pair; a large transmission residual
@@ -193,10 +187,10 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     flow = geometry.FlowSpec(
         direction=psi,
         half_height=domain.half_height,
-        steps=(-2.0 * step, -step, 0.0, step, 2.0 * step),
+        steps=(-2.0 * step, -step, step, 2.0 * step),
     )
-    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol,
-                               energy_at_zero=base)
+    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol)
+    ts, gs = np.insert(ts, 2, 0.0), np.insert(gs, 2, base)
     fd = fd_derivatives(ts, gs)
     mismatch = abs(fd.second - assembled.value) / max(1.0, abs(assembled.value))
     return ValidationReport(

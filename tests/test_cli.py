@@ -113,16 +113,15 @@ def test_analyze_segment_verdicts(tmp_path, capsys):
 
 def test_segment_node_count_and_floor_are_the_library_ones(tmp_path, capsys):
     # with no geometry.m the CLI meshes the segment as the library does,
-    # and the Gram refuses the node counts the eigensolve refuses
+    # and the library refuses the node counts the config refuses
     cfg = write_config(tmp_path, "seg.json", {
         "geometry": {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}})
     code, report = run_json(capsys, ["analyze", "--config", cfg])
     assert code == 0
     seg = ms_stability.SegmentConfig(1.0, -1.0, -1.0)
     assert report["results"]["min_eig"]["value"] == ms_stability.segment_min_eig(seg)
-    for build in (ms_stability.assemble_tilde_gram, ms_stability.segment_min_eig):
-        with pytest.raises(ValueError, match="at least 16 nodes"):
-            build(seg, m=15)
+    with pytest.raises(ValueError, match="at least 16 nodes"):
+        ms_stability.segment_min_eig(seg, m=15)
 
 
 def test_phase_diagram_schema_and_determinism(tmp_path, capsys):

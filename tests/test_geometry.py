@@ -116,8 +116,8 @@ def test_flow_validation_errors():
         ms.flow_curve(curve, flow, 0.1)
     with pytest.raises(ValueError):
         ms.flow_curve(curve, ms.FlowSpec(np.ones(16), 1.0), float("nan"))
-    with pytest.raises(ValueError):
-        ms.FlowSpec(direction=np.ones(16), half_height=1.0, cutoff_margin=2.0)
+    with pytest.raises(ValueError, match="half_height must be positive"):
+        ms.FlowSpec(direction=np.ones(16), half_height=0.0)
 
 
 def test_strip_domain_validation():
