@@ -18,7 +18,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -282,7 +281,7 @@ def _run_validate(cfg):
             "b": domain.period,
             "grid_nx": cfg.grid_nx,
             "grid_ny": cfg.grid_ny,
-            "flow": asdict(cfg.validate.flow),
+            "flow": cfg.validate.flow.as_dict(),
             "step": cfg.validate.step,
             "first_tol": cfg.validate.first_tol,
             "second_tol": cfg.validate.second_tol,
@@ -451,11 +450,11 @@ def _parse_grid_flag(text):
 def _apply_overrides(cfg, args):
     if args.grid is not None:
         nx, ny = _parse_grid_flag(args.grid)
-        cfg = replace(cfg, grid_nx=nx, grid_ny=ny)
+        cfg = cfg.replace(grid_nx=nx, grid_ny=ny)
     if args.restriction is not None:
-        cfg = replace(cfg, eigen=replace(cfg.eigen, restriction=args.restriction))
+        cfg = cfg.replace(eigen=cfg.eigen.replace(restriction=args.restriction))
     if args.out is not None:
-        cfg = replace(cfg, out_path=args.out)
+        cfg = cfg.replace(out_path=args.out)
     return cfg
 
 

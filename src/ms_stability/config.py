@@ -10,11 +10,11 @@ configurations stay serializable and runs stay reproducible.
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic, geometry, validation
+from ._record import Record
 from .errors import ConfigInvalid
 from .second_variation import (DEFAULT_BAND, MIN_SEGMENT_NODES, RESTRICTIONS,
                                SEGMENT_NODES)
@@ -87,8 +87,7 @@ def _integer(obj, key, path, default=None, minimum=None):
     return _number(obj, key, path, default, integer=True, minimum=minimum)
 
 
-@dataclass(frozen=True)
-class BoundarySpec:
+class BoundarySpec(Record, frozen=True):
     """Symbolic wall datum: slope * x + constant + sum of overtones."""
 
     slope: float = 0.0
@@ -144,8 +143,7 @@ def _parse_boundary_side(obj, path, default):
     )
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record, frozen=True):
     """Initial curve: flat, an explicit sample list, or one sine mode."""
 
     kind: str = "flat"
@@ -196,8 +194,7 @@ def _parse_curve(parent, path):
     raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
+class GeometrySpec(Record, frozen=True):
     kind: str
     a: float = None
     b: float = None
@@ -262,16 +259,14 @@ def _parse_geometry(obj):
     raise ConfigInvalid("geometry.kind must be 'strip' or 'segment'")
 
 
-@dataclass(frozen=True)
-class EigenSpec:
+class EigenSpec(Record, frozen=True):
     restriction: str = "mean_zero"
     band: float = DEFAULT_BAND
     compute_mu: bool = False
     modes: tuple = (2, 4, 6)
 
 
-@dataclass(frozen=True)
-class FlowDirectionSpec:
+class FlowDirectionSpec(Record, frozen=True):
     kind: str = "sin"   # sin | cos | const
     mode: int = 1
     amplitude: float = 1.0
@@ -285,8 +280,7 @@ class FlowDirectionSpec:
         return self.amplitude * wave
 
 
-@dataclass(frozen=True)
-class ValidateSpec:
+class ValidateSpec(Record, frozen=True):
     flow: FlowDirectionSpec = FlowDirectionSpec()
     step: float = validation.DEFAULT_STEP
     first_tol: float = validation.DEFAULT_FIRST_TOL
@@ -294,8 +288,7 @@ class ValidateSpec:
     criticality_tol: float = validation.DEFAULT_CRITICALITY_TOL
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record, frozen=True):
     geometry: GeometrySpec
     grid_nx: int = 64
     grid_ny: int = 64

@@ -49,11 +49,11 @@ the test extra, only builds the CSR copy a_uu, which no solve reads.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
+from ._record import Record
 from .errors import SolverDiverged
 
 # 2x2 tensor Gauss rule on the unit square: points and uniform weight 1/4.
@@ -125,8 +125,7 @@ MAXITER_FACTOR = 50
 MIN_GRID = 16  # fewest columns and rows per side: library, config and CLI
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Record, frozen=True):
     """Reference grid: nx periodic columns, ny rows per component."""
 
     nx: int
@@ -137,8 +136,7 @@ class Grid:
             raise ValueError("grid needs nx >= {0} and ny >= {0}".format(MIN_GRID))
 
 
-@dataclass(frozen=True)
-class SolveStats:
+class SolveStats(Record, frozen=True):
     """Conjugate-gradient bookkeeping for one solve.
 
     From _Component.solve: the iterations and the confirmed relative
@@ -550,8 +548,7 @@ class StripSystem:
         return self.curve.abscissae
 
 
-@dataclass
-class SlitField:
+class SlitField(Record):
     """Scalar field on the slit strip: drift slope plus periodic values.
 
     w_upper / w_lower hold the periodic part on the mapped grids, shape

@@ -11,12 +11,12 @@ normal of the graph, so a bump whose apex is a maximum (a cap) has
 H < 0 there, and a dip whose apex is a minimum (a cup) has H > 0.
 """
 
-from dataclasses import dataclass, field
 import functools
 import numbers
 
 import numpy as np
 
+from ._record import Record
 from .errors import CurveEscapesStrip
 
 
@@ -27,8 +27,7 @@ def _as_readonly_array(values):
     return arr
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(Record, frozen=True):
     """Dirichlet datum on one horizontal wall: drift slope plus periodic part.
 
     The trace prescribed on the wall is  slope * x + periodic(x)  where
@@ -51,8 +50,7 @@ class BoundaryData:
         return vals
 
 
-@dataclass(frozen=True)
-class StripDomain:
+class StripDomain(Record, frozen=True):
     """Periodic strip [0, b) x (-a, a) with Dirichlet data on y = +-a."""
 
     half_height: float
@@ -70,8 +68,7 @@ class StripDomain:
                 raise ValueError("boundary drift slope must be finite")
 
 
-@dataclass(frozen=True)
-class SegmentConfig:
+class SegmentConfig(Record, frozen=True):
     """Straight segment of length L meeting the box boundary at both ends.
 
     h1 and h2 are the signed curvatures of the box boundary at the two
@@ -89,8 +86,7 @@ class SegmentConfig:
             raise ValueError("endpoint curvatures must be finite")
 
 
-@dataclass(frozen=True)
-class GraphCurve:
+class GraphCurve(Record, frozen=True):
     """Periodic graph curve y = psi(x) sampled at m uniform abscissae.
 
     heights[i] = psi(i * period / m), i = 0..m-1.  The sample count m
@@ -154,8 +150,7 @@ def sinusoidal_curve(period, m, mode=1, amplitude=0.0, phase=0.0):
     return GraphCurve(period, amplitude * np.sin(2.0 * np.pi * mode * x / period + phase))
 
 
-@dataclass(frozen=True)
-class FlowSpec:
+class FlowSpec(Record, frozen=True):
     """Vertical normal flow of a curve: direction samples and time steps.
 
     direction[i] multiplies the flow time on node i.  half_height is the
@@ -165,7 +160,7 @@ class FlowSpec:
 
     direction: np.ndarray
     half_height: float
-    steps: tuple = field(default=())
+    steps: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "direction", _as_readonly_array(self.direction))

@@ -37,11 +37,11 @@ of A, not independent evidence.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import elliptic, geometry
+from ._record import Record
 from .errors import DegeneratePencil, GramSingular, InvalidRestriction
 
 RESTRICTIONS = ("mean_zero", "endpoint_zero", "none")
@@ -84,8 +84,7 @@ def pencil_eigenvalues(a, b):
     return np.linalg.eigvalsh(whiten @ a @ whiten.T)
 
 
-@dataclass
-class TildeGram:
+class TildeGram(Record):
     """Curve scalar product matrix with an optional subspace restriction.
 
     matrix is the full m x m form.  The basis P, orthonormal columns
@@ -336,8 +335,7 @@ class TOperator:
         return float(phi @ self._transport(phi)[1]) / denom
 
 
-@dataclass(frozen=True)
-class EigenStats:
+class EigenStats(Record, frozen=True):
     """What one eigen call did.  method names the route, "circulant_symbol"
     or "dense_eigh", or is "none" exactly when note is set, naming why no
     eigenvalue was computed (a zero operator or an empty constraint).
@@ -350,8 +348,7 @@ class EigenStats:
     method: str = "dense_eigh"
 
 
-@dataclass(frozen=True)
-class SecondVariationResult:
+class SecondVariationResult(Record, frozen=True):
     """d2F[phi] evaluated by the direct route, with the dual value.
 
     value = -2 * bulk energy of v_phi + ||phi||~^2   (direct route)

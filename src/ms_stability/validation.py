@@ -9,11 +9,10 @@ check the package has: it exercises geometry, both solvers, and the
 Gram assembly in one number.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import elliptic, geometry, second_variation
+from ._record import Record
 from .errors import InsufficientSamples
 
 DEFAULT_STEP = 5e-3
@@ -23,8 +22,7 @@ DEFAULT_CRITICALITY_TOL = 0.05
 JUMP_THRESHOLD = 1e-8
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
+class CriticalityReport(Record, frozen=True):
     """Discrete transmission-condition residuals of a solved state:
     f = |grad_t u-|^2 - |grad_t u+|^2 - H at each curve node."""
 
@@ -80,8 +78,7 @@ def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL):
     return ts, gs
 
 
-@dataclass(frozen=True)
-class FDEstimate:
+class FDEstimate(Record, frozen=True):
     first: float
     second: float
     first_error: float
@@ -138,8 +135,7 @@ def fd_derivatives(ts, gs):
     )
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record, frozen=True):
     """Finite-difference versus assembled second variation at one flow."""
 
     criticality: CriticalityReport

@@ -323,6 +323,20 @@ def test_validate_passes_on_flat_interface(tmp_path, capsys):
     assert abs(report["results"]["fd_first"]["value"]) <= 1e-4 * 3.0
 
 
+@pytest.mark.parametrize("flow", [
+    None,
+    {"kind": "cos", "mode": 2, "amplitude": 0.5},
+    {"kind": "const", "amplitude": -2.0},
+])
+def test_validate_reports_the_flow_it_ran(tmp_path, capsys, flow):
+    extra = {} if flow is None else {"validate": {"flow": flow}}
+    cfg = strip_config(tmp_path, **extra)
+    _, report = run_json(capsys, ["validate", "--config", cfg])
+    expected = {"amplitude": 1.0, "kind": "sin", "mode": 1}
+    expected.update(flow or {})
+    assert report["config"]["flow"] == expected
+
+
 def test_validate_flags_noncritical_curve(tmp_path, capsys):
     cfg = write_config(tmp_path, "bent.json", {
         "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
@@ -438,11 +452,15 @@ def test_seed_settings_leave_the_report_unchanged(tmp_path, capsys,
         assert capsys.readouterr().out == reference
 
 
-def test_cli_overrides(tmp_path, capsys):
-    cfg = strip_config(tmp_path)
-    code, report = run_json(capsys, [
-        "analyze", "--config", cfg, "--grid", "48,32",
-        "--restriction", "endpoint_zero"])
+def test_cli_overrides(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = strip_config(tmp_path, output={"path": "configured.json"})
+    out_path = tmp_path / "report.json"
+    code = main(["analyze", "--config", cfg, "--grid", "48,32",
+                 "--restriction", "endpoint_zero", "--out", str(out_path)])
+    assert capsys.readouterr().out == ""
+    report = json.loads(out_path.read_text())
+    assert not (tmp_path / "configured.json").exists()
     assert code == 0
     assert report["config"]["grid_nx"] == 48
     assert report["config"]["grid_ny"] == 32
