@@ -9,6 +9,8 @@ dataclasses builds each class's methods from source text.
 
 import inspect
 
+import numpy as np
+
 _POSITIONAL_OR_KEYWORD = inspect.Parameter.POSITIONAL_OR_KEYWORD
 _EMPTY = inspect.Parameter.empty
 
@@ -21,9 +23,10 @@ class Record:
             ny: int = 16
 
     gives Grid(nx, ny=16) by position or keyword, a call to __post_init__
-    after the fields are set, field-wise == between records of one class,
-    and the repr Grid(nx=.., ny=..).  A frozen record hashes its fields and
-    raises AttributeError on assigning or deleting an attribute (its
+    after the fields are set, field-wise == between records of one class
+    (an array field compares by shape and values), and the repr
+    Grid(nx=.., ny=..).  A frozen record hashes its fields and raises
+    AttributeError on assigning or deleting an attribute (its
     __post_init__ sets a normalised field with object.__setattr__); any
     other record is unhashable.  inspect.signature lists the fields.
     """
@@ -88,7 +91,8 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(_same(mine, theirs)
+                   for mine, theirs in zip(self._values(), other._values()))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
@@ -102,6 +106,13 @@ class Record:
         """A new record of this class with the given fields changed; the
         constructor, __post_init__ included, runs again."""
         return type(self)(**{**self.as_dict(), **changes})
+
+
+def _same(x, y):
+    """Field equality: an array field compares by shape and values."""
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    return x is y or x == y
 
 
 def _refuse_setattr(self, name, value):

@@ -300,32 +300,38 @@ class _Component:
             out += np.multiply(coef, padded[start:start + size], out=term)
         return out.reshape(ny, width)[:, 1:-1].ravel()
 
-    def solve(self, rhs, rtol):
+    def solve(self, rhs, rtol, start=None):
         """CG on the unknown block, preconditioned by the flat-strip inverse.
 
         The preconditioner is the exact inverse of the stiffness on
         the flat strip of the same mean height (see __init__), so a flat
         curve converges in one iteration and a curved one in a number of
         iterations set by the curve's slope, not by the grid size.  CG
-        stops on the unpreconditioned relative residual <= rtol, measured
-        as rhs - a_uu x: the recurrence residual CG stops on can sit a
-        rounding error below the true one, so each stop is confirmed on the
-        true residual, and an unconfirmed one resumes CG from x, restarted
-        on the true residual with half the threshold.  Raises
-        SolverDiverged when CG breaks down, when a confirmation makes no
-        progress over the previous one (rtol is below what rounding
-        allows), or after MAXITER_FACTOR * nx * ny iterations.  CG runs at
-        unit scale, max |rhs| in [1/2, 1), which a power of two reaches
-        exactly, so its inner products neither under- nor overflow.
-        Returns (x, SolveStats).
+        starts from start (zero when it is None or zero, the same
+        arithmetic either way) and stops on the unpreconditioned relative
+        residual <= rtol, measured as rhs - a_uu x: the recurrence residual
+        CG stops on can sit a rounding error below the true one, so each
+        stop is confirmed on the true residual, and an unconfirmed one
+        resumes CG from x, restarted on the true residual with half the
+        threshold.  Raises SolverDiverged when CG breaks down, when a
+        confirmation makes no progress over the previous one (rtol is below
+        what rounding allows), or after MAXITER_FACTOR * nx * ny
+        iterations.  CG runs at unit scale, max |rhs| in [1/2, 1), which a
+        power of two reaches exactly; start is scaled by the same power, so
+        its inner products neither under- nor overflow.  Returns
+        (x, SolveStats).
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), SolveStats(0, 0.0)
         exponent = np.frexp(np.max(np.abs(rhs)))[1]
         rhs = np.ldexp(rhs, -exponent)
         norm = np.linalg.norm(rhs)
-        x, r, count = np.zeros(self.n_unknown), rhs.copy(), 0
-        bound, last = rtol * norm, np.inf
+        if start is None or not np.any(start):
+            x, r = np.zeros(self.n_unknown), rhs.copy()
+        else:
+            x = np.ldexp(start, -exponent)
+            r = rhs - self._apply(x)
+        count, bound, last = 0, rtol * norm, np.inf
         while True:
             x, count = self._cg(x, r, bound, count)
             r = rhs - self._apply(x)
@@ -515,6 +521,31 @@ def _stencil_csr(comp):
         (stencil[keep], ((j * nx + i)[keep], cols[keep])), shape=(nx * ny, nx * ny))
 
 
+def _half_strip(domain, curve, grid, side):
+    """The _Component of one side of the strip slit along curve: the half
+    strip above curve ("upper") or above -curve ("lower"), once curve is
+    checked to sit on the grid's columns and inside the strip."""
+    if curve.m != grid.nx:
+        raise ValueError(
+            "curve has %d samples but the grid has %d columns; "
+            "curve nodes must sit on grid columns" % (curve.m, grid.nx)
+        )
+    curve.require_inside(domain.half_height)
+    if side == "lower":
+        curve = geometry.GraphCurve(curve.period, -curve.heights)
+    return _Component(domain, curve, grid)
+
+
+def _state_problem(comp, data, x):
+    """(rhs, wall row) of the state solve on a half strip whose wall
+    carries the datum data, sampled at the curve abscissae x: the wall's
+    coupling and the curve row's drift load moved to the right."""
+    wall = data.sample(x)
+    rhs = -comp.wall_coupling(wall)
+    rhs[:comp.nx] -= data.slope * comp._drift
+    return rhs, wall
+
+
 class StripSystem:
     """Assembled elliptic systems for both components of a slit strip.
 
@@ -526,19 +557,12 @@ class StripSystem:
     """
 
     def __init__(self, domain, curve, grid):
-        if curve.m != grid.nx:
-            raise ValueError(
-                "curve has %d samples but the grid has %d columns; "
-                "curve nodes must sit on grid columns" % (curve.m, grid.nx)
-            )
-        curve.require_inside(domain.half_height)
         self.domain = domain
         self.curve = curve
         self.grid = grid
-        self.upper = _Component(domain, curve, grid)
+        self.upper = _half_strip(domain, curve, grid, "upper")
         if np.any(curve.heights):
-            mirror = geometry.GraphCurve(curve.period, -curve.heights)
-            self.lower = _Component(domain, mirror, grid)
+            self.lower = _half_strip(domain, curve, grid, "lower")
         else:
             self.lower = self.upper
         self.sides = (("upper", self.upper), ("lower", self.lower))
@@ -587,20 +611,24 @@ class SlitField(Record):
         raise ValueError("side must be 'upper' or 'lower'")
 
 
-def _solve_sides(system, problems, slopes, rtol):
-    """CG on each side for its (rhs, wall row), upper first; the one place
-    that pairs a side's name with a solve.
+def _solve_side(side, comp, rhs, rtol, start=None):
+    """comp.solve(rhs, rtol, start) for the named side; the one place that
+    pairs a side's name with a solve.  A SolverDiverged is raised again with
+    "CG on <side> component" before its message."""
+    try:
+        return comp.solve(rhs, rtol, start)
+    except SolverDiverged as exc:
+        raise SolverDiverged("CG on %s component %s" % (side, exc)) from None
 
-    A SolverDiverged is raised again with "CG on <side> component" before
-    its message.  Returns (SlitField with the given drift slopes,
-    SolveStats).
+
+def _solve_sides(system, problems, slopes, rtol):
+    """CG on each side for its (rhs, wall row), upper first.
+
+    Returns (SlitField with the given drift slopes, SolveStats).
     """
     rows, parts = [], []
     for (side, comp), (rhs, wall) in zip(system.sides, problems):
-        try:
-            u, stats = comp.solve(rhs, rtol)
-        except SolverDiverged as exc:
-            raise SolverDiverged("CG on %s component %s" % (side, exc)) from None
+        u, stats = _solve_side(side, comp, rhs, rtol)
         rows.append(np.vstack([u.reshape(comp.ny, comp.nx), wall]))
         parts.append(stats)
     stats = SolveStats(sum(p.iterations for p in parts),
@@ -617,15 +645,31 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):
     the wall rows of the result reproduce the data exactly at the nodes.
     """
     system = StripSystem(domain, curve, grid)
-    x = system.abscissae
-    problems = []
-    for (_, comp), data in zip(system.sides, (domain.top, domain.bottom)):
-        wall = data.sample(x)
-        rhs = -comp.wall_coupling(wall)
-        rhs[:comp.nx] -= data.slope * comp._drift
-        problems.append((rhs, wall))
+    data = (domain.top, domain.bottom)
+    problems = [_state_problem(comp, datum, system.abscissae)
+                for (_, comp), datum in zip(system.sides, data)]
     return _solve_sides(system, problems,
                         (domain.top.slope, domain.bottom.slope), rtol)
+
+
+def side_energy(domain, curve, grid, side, rtol=DEFAULT_RTOL, start=None):
+    """Dirichlet energy of the state on one side of the strip slit along
+    curve, solved on that side's half strip alone.
+
+    side is "upper", above the curve with the datum domain.top, or
+    "lower", below it with domain.bottom.  The one _Component is built,
+    solved from start (see _Component.solve) and dropped on return.  The
+    two sides' energies sum to the dirichlet_energy of
+    solve_state(domain, curve, grid, rtol) to solver accuracy, and bit for
+    bit from cold starts.  Returns (energy, the side's unknowns, which can
+    start a later solve).
+    """
+    data = {"upper": domain.top, "lower": domain.bottom}[side]
+    comp = _half_strip(domain, curve, grid, side)
+    rhs, wall = _state_problem(comp, data, curve.abscissae)
+    u, _ = _solve_side(side, comp, rhs, rtol, start)
+    w = np.vstack([u.reshape(comp.ny, comp.nx), wall])
+    return comp.energy(w, data.slope), u
 
 
 class JumpCoupling:

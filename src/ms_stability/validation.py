@@ -64,18 +64,51 @@ def total_energy(domain, curve, grid, rtol=elliptic.DEFAULT_RTOL):
     return elliptic.dirichlet_energy(state) + geometry.curve_length(curve)
 
 
-def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL):
+def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL,
+                      base=None):
     """Energy samples g(t) along the vertical flow, in the order of steps.
 
-    Each step re-solves the state on the flowed geometry; the reduction
-    order is fixed so repeated runs are bit-identical.
+    g(t) = E+(psi_t) + E-(psi_t) + L(psi_t) for the flowed curve psi_t,
+    with each side's energy from elliptic.side_energy: the two sides run
+    as two separate sequences of half-strip solves, so one _Component is
+    alive at a time.  Within a side the steps run in increasing |t|, and
+    each CG starts from the Lagrange extrapolation in t of the side's last
+    (at most three) solutions at distinct times.  base, when given, is the
+    (upper, lower) unknowns of the state solved on the unflowed curve (its
+    w without the wall row), the t = 0 solution that starts both sequences.
+    Each g(t) is the total_energy of the flowed curve to solver accuracy,
+    and bit for bit where a solve starts cold; the reduction order is
+    fixed, so repeated runs are bit-identical.
     """
     ts = np.array(flow.steps, dtype=float)
-    gs = np.empty_like(ts)
-    for k, t in enumerate(flow.steps):
-        moved = geometry.flow_curve(curve, flow, t)
-        gs[k] = total_energy(domain, moved, grid, rtol=rtol)
-    return ts, gs
+    moved = [geometry.flow_curve(curve, flow, t) for t in flow.steps]
+    order = sorted(range(ts.size), key=lambda k: abs(ts[k]))
+    energies = []
+    for k, side in enumerate(("upper", "lower")):
+        solved = [] if base is None else [(0.0, base[k])]
+        energy = np.empty_like(ts)
+        for i in order:
+            t = ts[i]
+            energy[i], u = elliptic.side_energy(
+                domain, moved[i], grid, side, rtol=rtol,
+                start=_extrapolate(solved, t))
+            solved = [(s, v) for s, v in solved if s != t][-2:] + [(t, u)]
+        energies.append(energy)
+    lengths = np.array([geometry.curve_length(c) for c in moved])
+    return ts, energies[0] + energies[1] + lengths
+
+
+def _extrapolate(solved, t):
+    """The Lagrange polynomial through the (time, solution) pairs of
+    solved, at distinct times, evaluated at t; None when solved is empty."""
+    start = None
+    for j, (tj, uj) in enumerate(solved):
+        weight = 1.0
+        for k, (tk, _) in enumerate(solved):
+            if k != j:
+                weight *= (t - tk) / (tj - tk)
+        start = weight * uj if start is None else start + weight * uj
+    return start
 
 
 class FDEstimate(Record, frozen=True):
@@ -162,15 +195,17 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     """Cross-validate the assembled d2F[psi] against energy differences.
 
     Solves the state on the base curve and takes from it the
-    transmission residuals, the base energy and the assembled quadratic
-    form (one transport solve), then drops it.  Only then does it flow
-    the curve by psi at times {+-step, +-2 step} and re-solve the state
-    at each (the base energy is the t = 0 sample), so at most one
-    assembled StripSystem is alive at a time.  Finally it
-    Richardson-extrapolates g'(0) and g''(0) and compares g''(0) with
-    the assembled form.  The first derivative must vanish relative to
-    the base energy for a critical pair; a large transmission residual
-    is flagged (non_critical) but does not fail the report on its own.
+    transmission residuals, the base energy, the assembled quadratic
+    form (one transport solve) and its unknowns, then drops it.  Only
+    then does it flow the curve by psi at times {+-step, +-2 step} with
+    energy_along_flow, started from those unknowns (the base energy is
+    the t = 0 sample).  The flow assembles one half strip at a time, so
+    once the base system is gone at most one _Component is alive.
+    Finally it Richardson-extrapolates g'(0) and g''(0) and compares
+    g''(0) with the assembled form.  The first derivative must vanish
+    relative to the base energy for a critical pair; a large transmission
+    residual is flagged (non_critical) but does not fail the report on
+    its own.
     """
     psi = np.asarray(psi, dtype=float)
     state, _ = elliptic.solve_state(domain, curve, grid, rtol=rtol)
@@ -179,13 +214,15 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     gram = second_variation.assemble_tilde_gram(curve, restriction="none")
     assembled = second_variation.second_variation_value(state, gram, psi,
                                                         rtol=rtol)
+    base_unknowns = (state.w_upper[:-1].ravel(), state.w_lower[:-1].ravel())
     del state  # frees the base system before the flow builds its own
     flow = geometry.FlowSpec(
         direction=psi,
         half_height=domain.half_height,
         steps=(-2.0 * step, -step, step, 2.0 * step),
     )
-    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol)
+    ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol,
+                               base=base_unknowns)
     ts, gs = np.insert(ts, 2, 0.0), np.insert(gs, 2, base)
     fd = fd_derivatives(ts, gs)
     mismatch = abs(fd.second - assembled.value) / max(1.0, abs(assembled.value))

@@ -500,6 +500,30 @@ def test_cg_stop_is_confirmed_on_the_true_residual(monkeypatch):
     assert stats.residual == true <= 1e-10
 
 
+def test_cg_from_its_exact_solution_takes_no_iteration():
+    # rhs = a_uu x: the start is scaled by the rhs's power of two, which
+    # commutes with the stencil product, so its residual is exactly zero
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.1)
+    domain = ms.StripDomain(1.0, 1.0, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    comp = elliptic.StripSystem(domain, curve, ms.Grid(32, 24)).upper
+    x = np.random.default_rng(3).standard_normal(comp.n_unknown)
+    got, stats = comp.solve(comp._apply(x), 1e-10, start=x)
+    assert stats == elliptic.SolveStats(0, 0.0)
+    np.testing.assert_array_equal(got, x)
+
+
+@pytest.mark.parametrize("amplitude", (0.0, 0.1))
+def test_zero_start_is_the_cold_solve(amplitude):
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=amplitude)
+    domain = ms.StripDomain(1.0, 1.0, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
+    comp = elliptic.StripSystem(domain, curve, ms.Grid(32, 24)).upper
+    rhs = np.random.default_rng(4).standard_normal(comp.n_unknown)
+    cold, cold_stats = comp.solve(rhs, 1e-10)
+    zero, zero_stats = comp.solve(rhs, 1e-10, start=np.zeros(comp.n_unknown))
+    np.testing.assert_array_equal(zero, cold)
+    assert zero_stats == cold_stats and cold_stats.iterations > 0
+
+
 @pytest.mark.parametrize("amplitude", (0.0, 0.3))
 def test_stencil_product_matches_csr_matrix(amplitude):
     # Implementation check, not an independent one: the solver's stencil

@@ -91,10 +91,11 @@ def test_tracer_records_the_validate_solves(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     names = [s["name"] for s in tracer.spans]
-    # the base curve and four flowed curves, two sides each, plus the
-    # two sides of the one transport solve
-    assert names.count("elliptic.StripSystem") == 5
-    assert names.count("elliptic.solve_state") == 5
+    # one state on the base curve; the flow solves four flowed curves one
+    # half strip at a time, two sides each; and the two sides of the one
+    # transport solve
+    assert names.count("elliptic.StripSystem") == 1
+    assert names.count("elliptic.solve_state") == 1
     assert names.count("elliptic._Component.solve") == 12
     by_id = {s["id"]: s for s in tracer.spans}
     jump = [s for s in tracer.spans if s["name"] == "elliptic.solve_jump_source"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import ms_stability as ms
-from ms_stability import elliptic
+from ms_stability import elliptic, validation
 from ms_stability.errors import CurveEscapesStrip, InsufficientSamples
 
 from conftest import drift_domain, flat_setup
@@ -168,6 +168,51 @@ def test_energy_along_flow_is_deterministic():
     np.testing.assert_array_equal(first[1], second[1])
 
 
+def flow_cases():
+    """(domain, curve, flow, grid) with a curved base, asymmetric steps
+    that include 0, overtone walls, nx != ny and a repeated step."""
+    x24 = np.arange(24) / 24.0
+    yield (drift_domain(1.0, 1.0),
+           ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05),
+           ms.FlowSpec(direction=np.cos(2.0 * np.pi * np.arange(32) / 32.0),
+                       half_height=1.0, steps=(0.02, -0.004, 0.0, 0.01)),
+           ms.Grid(32, 32))
+    yield (overtone_domain(0.2, -0.1, 0.15, 0.05),
+           ms.GraphCurve(1.0, 0.04 * np.sin(4.0 * np.pi * x24)),
+           ms.FlowSpec(direction=np.cos(2.0 * np.pi * x24) + 0.5,
+                       half_height=1.0,
+                       steps=(-0.01, 0.01, 0.01, -0.02, 0.03)),
+           ms.Grid(24, 40))
+    yield (overtone_domain(0.0, 0.3, -0.2, 0.0), ms.flat_curve(1.0, 16),
+           ms.FlowSpec(direction=np.sin(2.0 * np.pi * np.arange(16) / 16.0),
+                       half_height=1.0, steps=(0.01, 0.01)),
+           ms.Grid(16, 20))
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("with_base", [False, True])
+def test_energy_along_flow_is_the_total_energy_of_each_flowed_curve(case,
+                                                                    with_base):
+    # Each side runs its own sequence of half-strip solves, each started
+    # from an extrapolation of the earlier ones (and of the base state's
+    # unknowns when given): a start moves the energy only within solver
+    # accuracy, and the first solve of a side without a base starts cold.
+    domain, curve, flow, grid = list(flow_cases())[case]
+    base = None
+    if with_base:
+        state, _ = ms.solve_state(domain, curve, grid)
+        base = (state.w_upper[:-1].ravel(), state.w_lower[:-1].ravel())
+    ts, gs = ms.energy_along_flow(domain, curve, flow, grid, base=base)
+    assert ts.tolist() == list(flow.steps)
+    refs = [ms.total_energy(domain, ms.flow_curve(curve, flow, t), grid)
+            for t in ts]
+    for g, ref in zip(gs, refs):
+        assert abs(g - ref) <= 1e-12 * abs(ref)
+    if not with_base:
+        first = int(np.argmin(np.abs(ts)))
+        assert gs[first] == refs[first]
+
+
 def test_flow_escape_propagates():
     domain = drift_domain(1.0, 1.0)
     curve = ms.flat_curve(1.0, 16)
@@ -225,25 +270,59 @@ def test_validate_t0_sample_is_a_fresh_solve(amplitude):
     assert report.gs[2] == ms.total_energy(domain, curve, ms.Grid(32, 32))
 
 
-def test_validate_keeps_one_strip_system_alive(monkeypatch):
-    # The base state is used up before the flow starts, and each flowed
-    # state is dropped before the next is built: whenever a StripSystem is
-    # built, every earlier one has already been collected.
-    built = []
-    init = elliptic.StripSystem.__init__
+def test_validate_keeps_one_component_alive(monkeypatch):
+    # The base state is used up before the flow starts, and the flow
+    # builds, solves and drops one half strip at a time: whenever a flowed
+    # _Component is built, every earlier one, the base system's included,
+    # has already been collected.
+    built, alive_at = [], []
+    init = elliptic._Component.__init__
 
     def recording_init(self, *args, **kwargs):
-        alive = [k for k, ref in enumerate(built) if ref() is not None]
-        assert alive == [], "systems %r still alive at system %d" % (alive, len(built))
+        alive_at.append([k for k, ref in enumerate(built) if ref() is not None])
         built.append(weakref.ref(self))
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(elliptic.StripSystem, "__init__", recording_init)
+    monkeypatch.setattr(elliptic._Component, "__init__", recording_init)
     domain = drift_domain(1.0, 1.0)
     curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05)
     psi = np.sin(2.0 * math.pi * curve.abscissae)
     ms.validate_second_variation(domain, curve, ms.Grid(32, 32), psi)
-    assert len(built) == 5
+    assert len(built) == 10  # two base sides, then four steps a side
+    assert alive_at[:2] == [[], [0]]
+    assert alive_at[2:] == [[]] * 8
+
+
+def test_validate_flow_starts_its_solves_from_extrapolations(monkeypatch):
+    # validate at 256^2 on the flat unit strip with the default sine flow:
+    # started from the base state and from extrapolations, the eight
+    # flowed half-strip solves take 34 CG iterations in all, where cold
+    # starts take 44.
+    iterations, in_flow = [], []
+    solve, flow = elliptic._Component.solve, validation.energy_along_flow
+
+    def counting_solve(self, *args, **kwargs):
+        x, stats = solve(self, *args, **kwargs)
+        if in_flow:
+            iterations.append(stats.iterations)
+        return x, stats
+
+    def marked_flow(*args, **kwargs):
+        in_flow.append(True)
+        try:
+            return flow(*args, **kwargs)
+        finally:
+            in_flow.clear()
+
+    monkeypatch.setattr(elliptic._Component, "solve", counting_solve)
+    monkeypatch.setattr(validation, "energy_along_flow", marked_flow)
+    curve = ms.flat_curve(1.0, 256)
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    report = ms.validate_second_variation(drift_domain(1.0, 1.0), curve,
+                                          ms.Grid(256, 256), psi)
+    assert report.passed
+    assert len(iterations) == 8
+    assert sum(iterations) <= 36
 
 
 def test_validate_flags_non_critical_configuration():
