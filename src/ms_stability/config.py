@@ -10,6 +10,7 @@ configurations stay serializable and runs stay reproducible.
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 
@@ -18,29 +19,6 @@ from ._record import Record
 from .errors import ConfigInvalid
 from .second_variation import (DEFAULT_BAND, MIN_SEGMENT_NODES, RESTRICTIONS,
                                SEGMENT_NODES)
-
-SECTIONS = ("geometry", "grid", "solver", "eigen", "validate", "output")
-
-
-def _require_mapping(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigInvalid("%s must be an object" % path)
-
-
-def _check_keys(obj, allowed, path):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigInvalid("unknown key %s.%s (allowed: %s)"
-                                % (path, key, ", ".join(sorted(allowed))))
-
-
-def _section(obj, key, path, allowed):
-    """obj[key] as a mapping with only allowed keys; {} when absent or null."""
-    sub = obj.get(key)
-    sub = {} if sub is None else sub
-    _require_mapping(sub, path)
-    _check_keys(sub, allowed, path)
-    return sub
 
 
 def _scalar(val, where, integer=False, positive=False, minimum=None):
@@ -74,19 +52,6 @@ def _scalars(raw, where, **checks):
                  for k, v in enumerate(raw))
 
 
-def _number(obj, key, path, default=None, required=False, **checks):
-    """obj[key] checked by _scalar; default when absent or null."""
-    if obj.get(key) is None:
-        if required:
-            raise ConfigInvalid("missing required key %s.%s" % (path, key))
-        return default
-    return _scalar(obj[key], "%s.%s" % (path, key), **checks)
-
-
-def _integer(obj, key, path, default=None, minimum=None):
-    return _number(obj, key, path, default, integer=True, minimum=minimum)
-
-
 class BoundarySpec(Record, frozen=True):
     """Symbolic wall datum: slope * x + constant + sum of overtones."""
 
@@ -112,37 +77,6 @@ class BoundarySpec(Record, frozen=True):
         return geometry.BoundaryData(self.slope, None if trivial else periodic)
 
 
-def _parse_overtones(obj, key, path):
-    raw = obj.get(key)
-    if raw is None:
-        return ()
-    where = "%s.%s" % (path, key)
-    if not isinstance(raw, list):
-        raise ConfigInvalid("%s must be a list of [mode, amplitude]" % where)
-    out = []
-    for k, item in enumerate(raw):
-        at = "%s[%d]" % (where, k)
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigInvalid("%s must be [mode, amplitude]" % at)
-        out.append((_scalar(item[0], at + "[0]", integer=True, minimum=1),
-                    _scalar(item[1], at + "[1]")))
-    return tuple(out)
-
-
-def _parse_boundary_side(obj, path, default):
-    """A wall that is given keeps the default slope, not its constant."""
-    if obj is None:
-        return default
-    _require_mapping(obj, path)
-    _check_keys(obj, {"slope", "constant", "cos", "sin"}, path)
-    return BoundarySpec(
-        slope=_number(obj, "slope", path, default=default.slope),
-        constant=_number(obj, "constant", path, default=BoundarySpec.constant),
-        cos=_parse_overtones(obj, "cos", path),
-        sin=_parse_overtones(obj, "sin", path),
-    )
-
-
 class CurveSpec(Record, frozen=True):
     """Initial curve: flat, an explicit sample list, or one sine mode."""
 
@@ -165,33 +99,6 @@ class CurveSpec(Record, frozen=True):
         return geometry.sinusoidal_curve(period, m, mode=self.mode,
                                          amplitude=self.amplitude,
                                          phase=self.phase)
-
-
-def _parse_curve(parent, path):
-    obj = _section(parent, "curve", path,
-                   {"heights", "mode", "amplitude", "phase"})
-    heights = obj.get("heights", "flat")
-    if heights == "flat":
-        if "mode" in obj or "amplitude" in obj or "phase" in obj:
-            return CurveSpec(
-                kind="sine",
-                mode=_integer(obj, "mode", path, default=CurveSpec.mode,
-                              minimum=1),
-                amplitude=_number(obj, "amplitude", path,
-                                  default=CurveSpec.amplitude),
-                phase=_number(obj, "phase", path, default=CurveSpec.phase),
-            )
-        return CurveSpec()
-    if isinstance(heights, list):
-        for key in ("mode", "amplitude", "phase"):
-            if key in obj:
-                # a heights list is the whole curve; a sine key next to it
-                # would otherwise be dropped unread
-                raise ConfigInvalid("%s.%s cannot be combined with a heights "
-                                    "list" % (path, key))
-        return CurveSpec(kind="samples",
-                         heights=_scalars(heights, path + ".heights"))
-    raise ConfigInvalid("%s.heights must be 'flat' or a list" % path)
 
 
 class GeometrySpec(Record, frozen=True):
@@ -222,41 +129,6 @@ class GeometrySpec(Record, frozen=True):
 
     def segment(self):
         return geometry.SegmentConfig(self.length, self.h1, self.h2)
-
-
-def _parse_geometry(obj):
-    path = "geometry"
-    _require_mapping(obj, path)
-    kind = obj.get("kind")
-    if kind == "strip":
-        allowed = {"kind", "a", "b", "a_values", "b_values", "curve", "boundary"}
-        _check_keys(obj, allowed, path)
-        boundary = _section(obj, "boundary", path + ".boundary",
-                            {"top", "bottom"})
-        a = _number(obj, "a", path, positive=True)
-        b = _number(obj, "b", path, positive=True)
-        values = {key: _scalars(obj[key], "%s.%s" % (path, key), positive=True)
-                  for key in ("a_values", "b_values") if obj.get(key) is not None}
-        return GeometrySpec(
-            kind="strip", a=a, b=b, **values,
-            curve=_parse_curve(obj, path + ".curve"),
-            top=_parse_boundary_side(boundary.get("top"), path + ".boundary.top",
-                                     GeometrySpec.top),
-            bottom=_parse_boundary_side(boundary.get("bottom"),
-                                        path + ".boundary.bottom",
-                                        GeometrySpec.bottom),
-        )
-    if kind == "segment":
-        _check_keys(obj, {"kind", "length", "h1", "h2", "m"}, path)
-        return GeometrySpec(
-            kind="segment",
-            length=_number(obj, "length", path, required=True, positive=True),
-            h1=_number(obj, "h1", path, required=True),
-            h2=_number(obj, "h2", path, required=True),
-            m=_integer(obj, "m", path, default=SEGMENT_NODES,
-                       minimum=MIN_SEGMENT_NODES),
-        )
-    raise ConfigInvalid("geometry.kind must be 'strip' or 'segment'")
 
 
 class EigenSpec(Record, frozen=True):
@@ -298,83 +170,185 @@ class RunConfig(Record, frozen=True):
     out_path: str = None
 
 
+def _keys(obj, table, where):
+    """Refuse obj unless it is an object whose keys are all in table."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("%s must be an object" % where)
+    for key in obj:
+        if key not in table:
+            raise ConfigInvalid("unknown key %s.%s (allowed: %s)"
+                                % (where, key, ", ".join(sorted(table))))
+
+
+def _values(obj, table, path):
+    """obj's values in table order, each read by its key's reader from the
+    value and its key path.  A None result, a null that takes the default,
+    is left out like an absent key; a dict result is spread into the rest."""
+    values = {}
+    for key, read in table.items():
+        if key in obj:
+            value = read(obj[key], path + key)
+            if isinstance(value, dict):
+                values.update(value)
+            elif value is not None:
+                values[key] = value
+    return values
+
+
+def _section(obj, where, table, record=dict, prefix=""):
+    """obj read by table into record, each key prefixed; null is the default."""
+    if obj is None:
+        return None
+    _keys(obj, table, where)
+    values = _values(obj, table, where + ".")
+    return record(**{prefix + key: value for key, value in values.items()})
+
+
+def _number(value, where, required=False, below=None, **checks):
+    if value is None:
+        if required:
+            raise ConfigInvalid("missing required key %s" % where)
+        return None
+    value = _scalar(value, where, **checks)
+    if below is not None and value >= below:
+        raise ConfigInvalid("%s must be below %g" % (where, below))
+    return value
+
+
+def _numbers(value, where, **checks):
+    return None if value is None else _scalars(value, where, **checks)
+
+
+def _choice(value, where, options):
+    if value not in options:
+        raise ConfigInvalid("%s must be %s or %s"
+                            % (where, ", ".join(options[:-1]), options[-1]))
+    return value
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ConfigInvalid("%s must be true or false" % where)
+    return value
+
+
+def _path(value, where):
+    if value is not None and not isinstance(value, str):
+        raise ConfigInvalid("%s must be a string" % where)
+    return value
+
+
+def _overtones(value, where):
+    if value is None:
+        return None
+    if not isinstance(value, list):
+        raise ConfigInvalid("%s must be a list of [mode, amplitude]" % where)
+    out = []
+    for k, item in enumerate(value):
+        at = "%s[%d]" % (where, k)
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigInvalid("%s must be [mode, amplitude]" % at)
+        out.append((_scalar(item[0], at + "[0]", integer=True, minimum=1),
+                    _scalar(item[1], at + "[1]")))
+    return tuple(out)
+
+
+def _modes(value, where):
+    modes = _scalars(value, where, integer=True, minimum=2)
+    if not modes:
+        raise ConfigInvalid("%s must be a non-empty list of integers" % where)
+    return modes
+
+
+def _seed(value, where):
+    """Deprecated: checked, then dropped; the eigensolve has no random start."""
+    _number(value, where, integer=True)
+
+
+def _heights(value, where):
+    if value == "flat":
+        return None
+    if not isinstance(value, list):
+        raise ConfigInvalid("%s must be 'flat' or a list" % where)
+    return _scalars(value, where)
+
+
+def _curve(obj, where):
+    if obj is None:
+        return None
+    _keys(obj, _CURVE, where)
+    sine = [key for key in _CURVE if key != "heights" and key in obj]
+    if sine and isinstance(obj.get("heights"), list):
+        # a heights list is the whole curve: a sine key would go unread
+        raise ConfigInvalid("%s.%s cannot be combined with a heights list"
+                            % (where, sine[0]))
+    values = _values(obj, _CURVE, where + ".")
+    # a sine key selects the sine curve even when it is null
+    kind = "samples" if "heights" in values else "sine" if sine else "flat"
+    return CurveSpec(kind, **values)
+
+
+def _geometry(obj, where):
+    """The kind picks the table, before any key is checked."""
+    if not isinstance(obj, dict):
+        raise ConfigInvalid("%s must be an object" % where)
+    kind = obj.get("kind")
+    if kind == "segment":
+        # every key is read, so a required one that is absent is missing
+        return _section({**dict.fromkeys(_SEGMENT), **obj}, where, _SEGMENT,
+                        partial(GeometrySpec, m=SEGMENT_NODES))
+    if kind != "strip":
+        raise ConfigInvalid("%s.kind must be 'strip' or 'segment'" % where)
+    _keys(obj, _STRIP, where)
+    # the boundary's keys are checked before any geometry value is read
+    if obj.get("boundary") is not None:
+        _keys(obj["boundary"], _BOUNDARY, where + ".boundary")
+    return GeometrySpec(**_values(obj, _STRIP, where + "."))
+
+
+# One table per object: each key's reader, in the order the values are read.
+_KIND = partial(_choice, options=("strip", "segment"))   # checked by _geometry
+_POSITIVE = partial(_number, positive=True)
+_REQUIRED = partial(_number, required=True)
+_MODE = partial(_number, integer=True, minimum=1)
+_GRID = partial(_number, integer=True, minimum=elliptic.MIN_GRID)
+_WALL = {"slope": _number, "constant": _number, "cos": _overtones, "sin": _overtones}
+# a wall that is given keeps its canonical slope, but not its constant
+_BOUNDARY = {side: partial(_section, table=_WALL, record=partial(
+    BoundarySpec, slope=getattr(GeometrySpec, side).slope))
+    for side in ("top", "bottom")}
+_CURVE = {"heights": _heights, "mode": _MODE, "amplitude": _number, "phase": _number}
+_STRIP = {"kind": _KIND, "a": _POSITIVE, "b": _POSITIVE,
+          "a_values": partial(_numbers, positive=True),
+          "b_values": partial(_numbers, positive=True),
+          "curve": _curve, "boundary": partial(_section, table=_BOUNDARY)}
+_SEGMENT = {"kind": _KIND, "length": partial(_REQUIRED, positive=True),
+            "h1": _REQUIRED, "h2": _REQUIRED,
+            "m": partial(_number, integer=True, minimum=MIN_SEGMENT_NODES)}
+_CONFIG = {
+    "geometry": _geometry,
+    "grid": partial(_section, table={"nx": _GRID, "ny": _GRID}, prefix="grid_"),
+    # at rtol >= 1 CG would return the zero correction as converged
+    "solver": partial(_section, table={"rtol": partial(_POSITIVE, below=1.0)}),
+    "eigen": partial(_section, record=EigenSpec, table={
+        "seed": _seed, "restriction": partial(_choice, options=RESTRICTIONS),
+        "compute_mu": _flag, "modes": _modes, "band": _POSITIVE}),
+    "validate": partial(_section, record=ValidateSpec, table={
+        "flow": partial(_section, record=FlowDirectionSpec, table={
+            "kind": partial(_choice, options=("sin", "cos", "const")),
+            "mode": _MODE, "amplitude": _number}),
+        "step": _POSITIVE, "first_tol": _POSITIVE, "second_tol": _POSITIVE,
+        "criticality_tol": _POSITIVE}),
+    "output": partial(_section, table={"path": _path}, prefix="out_"),
+}
+
+
 def parse_config(data):
     """Validate a parsed JSON object and return a RunConfig."""
-    _require_mapping(data, "config")
-    _check_keys(data, set(SECTIONS), "config")
+    _keys(data, _CONFIG, "config")
     if "geometry" not in data:
         raise ConfigInvalid("missing required section: geometry")
-    geom = _parse_geometry(data["geometry"])
-
-    grid = _section(data, "grid", "grid", {"nx", "ny"})
-    nx = _integer(grid, "nx", "grid", default=RunConfig.grid_nx,
-                  minimum=elliptic.MIN_GRID)
-    ny = _integer(grid, "ny", "grid", default=RunConfig.grid_ny,
-                  minimum=elliptic.MIN_GRID)
-
-    solver = _section(data, "solver", "solver", {"rtol"})
-    rtol = _number(solver, "rtol", "solver", default=RunConfig.rtol,
-                   positive=True)
-    if rtol >= 1.0:
-        # CG would return the zero correction and report it as converged
-        raise ConfigInvalid("solver.rtol must be below 1")
-
-    eig = _section(data, "eigen", "eigen", {
-        "seed", "restriction", "band", "compute_mu", "modes"})
-    # deprecated: eigen.seed is still type-checked, but the dense
-    # eigensolve has no random start, so the value is dropped
-    _integer(eig, "seed", "eigen")
-    restriction = eig.get("restriction", EigenSpec.restriction)
-    if restriction not in RESTRICTIONS:
-        raise ConfigInvalid("eigen.restriction must be %s or %s"
-                            % (", ".join(RESTRICTIONS[:-1]), RESTRICTIONS[-1]))
-    compute_mu = eig.get("compute_mu", EigenSpec.compute_mu)
-    if not isinstance(compute_mu, bool):
-        raise ConfigInvalid("eigen.compute_mu must be true or false")
-    # unlike other keys, an explicit null here is rejected, not the default
-    modes = _scalars(eig.get("modes", list(EigenSpec.modes)), "eigen.modes",
-                     integer=True, minimum=2)
-    if not modes:
-        raise ConfigInvalid("eigen.modes must be a non-empty list of integers")
-    eigen = EigenSpec(
-        restriction=restriction,
-        band=_number(eig, "band", "eigen", default=EigenSpec.band, positive=True),
-        compute_mu=compute_mu,
-        modes=modes,
-    )
-
-    val = _section(data, "validate", "validate", {
-        "flow", "step", "first_tol", "second_tol", "criticality_tol"})
-    flow_raw = _section(val, "flow", "validate.flow", {"kind", "mode", "amplitude"})
-    kind = flow_raw.get("kind", FlowDirectionSpec.kind)
-    if kind not in ("sin", "cos", "const"):
-        raise ConfigInvalid("validate.flow.kind must be sin, cos or const")
-    flow = FlowDirectionSpec(
-        kind=kind,
-        mode=_integer(flow_raw, "mode", "validate.flow",
-                      default=FlowDirectionSpec.mode, minimum=1),
-        amplitude=_number(flow_raw, "amplitude", "validate.flow",
-                          default=FlowDirectionSpec.amplitude),
-    )
-    validate = ValidateSpec(flow=flow, **{
-        key: _number(val, key, "validate", default=getattr(ValidateSpec, key),
-                     positive=True)
-        for key in ("step", "first_tol", "second_tol", "criticality_tol")})
-
-    out = _section(data, "output", "output", {"path"})
-    out_path = out.get("path")
-    if out_path is not None and not isinstance(out_path, str):
-        raise ConfigInvalid("output.path must be a string")
-
-    return RunConfig(
-        geometry=geom,
-        grid_nx=nx,
-        grid_ny=ny,
-        rtol=rtol,
-        eigen=eigen,
-        validate=validate,
-        out_path=out_path,
-    )
+    return RunConfig(**_values(data, _CONFIG, ""))
 
 
 def _unique_keys(pairs):

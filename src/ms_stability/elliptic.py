@@ -552,8 +552,8 @@ class StripSystem:
     The lower side is the upper side of -psi: y -> -y maps one onto the
     other.  On the midline (every height zero) that is the upper side
     itself, so both sides are one object, with one assembly and one curve
-    block.  sides names the two, upper first; it is the one place that
-    does.
+    block.  sides pairs each name with its component, upper first, for
+    _solve_sides; JumpCoupling, side_energy and validation name them too.
     """
 
     def __init__(self, domain, curve, grid):

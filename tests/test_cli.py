@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import argparse
+import copy
 import json
 import math
 import os
@@ -913,6 +914,254 @@ def test_every_number_is_checked_and_named(path, config, good, value):
     with pytest.raises(ConfigInvalid) as exc:
         parse_config(config(value))
     assert str(exc.value).startswith(path + " ")
+
+
+def _set(data, path, value):
+    """A copy of the config data with the dotted key path set to value."""
+    data = copy.deepcopy(data)
+    *parents, last = path.split(".")
+    obj = data
+    for key in parents:
+        obj = obj.setdefault(key, {})
+    obj[last] = value
+    return data
+
+
+def _drop(data, path):
+    """A copy of the config data without the dotted key path."""
+    data = copy.deepcopy(data)
+    *parents, last = path.split(".")
+    obj = data
+    for key in parents:
+        obj = obj.get(key, {})
+    obj.pop(last, None)
+    return data
+
+
+# (key path, config): a null at the key is read as if the key were absent
+NULL_TAKES_THE_DEFAULT = [
+    ("grid", strip_geometry()),
+    ("grid.nx", with_section("grid", ny=32)),
+    ("solver", strip_geometry()),
+    ("solver.rtol", strip_geometry()),
+    ("eigen.seed", strip_geometry()),
+    ("eigen.band", with_section("eigen", compute_mu=True)),
+    ("validate.flow", strip_geometry()),
+    ("validate.flow.mode", with_section("validate", flow={"kind": "cos"})),
+    ("validate.step", strip_geometry()),
+    ("output.path", strip_geometry()),
+    ("geometry.a", strip_geometry()),
+    ("geometry.a_values", strip_geometry(b_values=[1.0])),
+    ("geometry.curve", strip_geometry()),
+    ("geometry.boundary", strip_geometry()),
+    ("geometry.boundary.top", strip_geometry(boundary={"bottom": {"slope": 0.5}})),
+    # a wall that is given keeps its canonical slope
+    ("geometry.boundary.top.slope", strip_geometry(boundary={"top": {"constant": 2.0}})),
+    ("geometry.boundary.top.cos", strip_geometry(boundary={"top": {"constant": 2.0}})),
+    ("geometry.m", segment_geometry()),
+]
+
+
+@pytest.mark.parametrize("path,data", NULL_TAKES_THE_DEFAULT,
+                         ids=[path for path, _ in NULL_TAKES_THE_DEFAULT])
+def test_null_takes_the_default(path, data):
+    assert parse_config(_set(data, path, None)) == parse_config(_drop(data, path))
+
+
+NULL_IS_REFUSED = [
+    ("geometry", strip_geometry(), "geometry must be an object"),
+    ("eigen.restriction", strip_geometry(),
+     "eigen.restriction must be mean_zero, endpoint_zero or none"),
+    ("eigen.compute_mu", strip_geometry(), "eigen.compute_mu must be true or false"),
+    ("eigen.modes", strip_geometry(), "eigen.modes must be a list"),
+    ("validate.flow.kind", strip_geometry(),
+     "validate.flow.kind must be sin, cos or const"),
+    ("geometry.curve.heights", strip_geometry(),
+     "geometry.curve.heights must be 'flat' or a list"),
+    ("geometry.kind", strip_geometry(), "geometry.kind must be 'strip' or 'segment'"),
+    ("geometry.length", segment_geometry(), "missing required key geometry.length"),
+]
+
+
+@pytest.mark.parametrize("path,data,message", NULL_IS_REFUSED,
+                         ids=[path for path, _, _ in NULL_IS_REFUSED])
+def test_null_is_refused(path, data, message):
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(_set(data, path, None))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["mode", "amplitude", "phase"])
+def test_null_sine_key_selects_the_sine_curve(tmp_path, capsys, key):
+    data = _set(with_section("grid", nx=16, ny=16), "geometry.curve." + key, None)
+    curve = parse_config(data).geometry.curve
+    assert curve == type(curve)(kind="sine")
+    cfg = write_config(tmp_path, "null.json", data)
+    assert main(["phase-diagram", "--config", cfg]) == 1
+    assert "geometry.curve must be flat" in capsys.readouterr().err
+
+
+def _strip_with(**keys):
+    return {"kind": "strip", "a": 1.0, "b": 1.0, **keys}
+
+
+# (config with several faults, the one reported): top-level keys first, then
+# geometry, grid, solver, eigen, validate and output; within an object its
+# unknown keys before its values, and the values in a fixed order
+FIRST_FAULTS = [
+    ({"zz": 1, "geometry": {"kind": "disk"}}, "unknown key config.zz"),
+    ({"grid": 5}, "missing required section: geometry"),
+    ({"geometry": {"kind": "disk", "zz": 1}}, "geometry.kind must be"),
+    ({"geometry": _strip_with(a=-1.0, zz=1)}, "unknown key geometry.zz"),
+    ({"geometry": _strip_with(a=-1.0, boundary={"left": {}})},
+     "unknown key geometry.boundary.left"),
+    ({"geometry": _strip_with(a=-1.0, curve={"m": 1})}, "geometry.a must be"),
+    ({"geometry": _strip_with(curve={"mode": "x"},
+                              boundary={"top": {"slope": "x"}})},
+     "geometry.curve.mode must be"),
+    ({"geometry": _strip_with(boundary={"top": {"slope": "x"},
+                                        "bottom": {"zz": 1}})},
+     "geometry.boundary.top.slope must be"),
+    ({"geometry": _strip_with(curve={"heights": [True], "phase": 0.0,
+                                     "mode": 1})},
+     "geometry.curve.mode cannot be combined"),
+    ({"geometry": _strip_with(boundary={"top": {"cos": [[1, math.nan], [1]]}})},
+     "geometry.boundary.top.cos[0][1] must be"),
+    ({"geometry": {"kind": "segment", "h1": "x"}},
+     "missing required key geometry.length"),
+    ({"geometry": {"kind": "segment", "length": -1.0}}, "geometry.length must be"),
+    ({"geometry": _strip_with(a=-1.0), "grid": {"nx": 1}}, "geometry.a must be"),
+    (dict(strip_geometry(), grid={"nx": 1, "zz": 1}), "unknown key grid.zz"),
+    (dict(strip_geometry(), solver={"rtol": 1.0}, eigen={"restriction": "x"}),
+     "solver.rtol must be below 1"),
+    (dict(strip_geometry(), eigen={"band": -1.0, "modes": [], "seed": "x"}),
+     "eigen.seed must be"),
+    (dict(strip_geometry(), eigen={"band": -1.0, "modes": []}),
+     "eigen.modes must be a non-empty list"),
+    (dict(strip_geometry(), validate={"step": -1.0, "flow": {"zz": 1}}),
+     "unknown key validate.flow.zz"),
+    (dict(strip_geometry(), validate={"step": -1.0}, output={"path": 5}),
+     "validate.step must be"),
+]
+
+
+@pytest.mark.parametrize("data,first", FIRST_FAULTS)
+def test_a_rejection_names_the_first_fault(data, first):
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(data)
+    assert str(exc.value).startswith(first)
+
+
+def _allowed_keys(data, path):
+    """The keys the object at path accepts, read off the rejection of an
+    unknown key there."""
+    with pytest.raises(ConfigInvalid) as exc:
+        parse_config(_set(data, path + ".zz" if path else "zz", 1))
+    return re.fullmatch(r"unknown key .*\.zz \(allowed: (.*)\)",
+                        str(exc.value)).group(1).split(", ")
+
+
+# (section path, config that holds an object there)
+SECTIONS = [
+    ("", strip_geometry()),
+    ("geometry", strip_geometry()),
+    ("geometry", segment_geometry()),
+    ("geometry.curve", strip_geometry()),
+    ("geometry.boundary", strip_geometry()),
+    ("geometry.boundary.top", strip_geometry()),
+    ("geometry.boundary.bottom", strip_geometry()),
+    ("grid", strip_geometry()),
+    ("solver", strip_geometry()),
+    ("eigen", strip_geometry()),
+    ("validate", strip_geometry()),
+    ("validate.flow", strip_geometry()),
+    ("output", strip_geometry()),
+]
+
+
+def _accepted_paths():
+    paths = []
+    for section, data in SECTIONS:
+        for key in _allowed_keys(data, section):
+            path = section + "." + key if section else key
+            if path not in paths:
+                paths.append(path)
+    return paths
+
+
+# key path -> (config, a valid value that the config does not hold there)
+NON_DEFAULT = {
+    "geometry": ({}, {"kind": "strip"}),
+    "grid": (strip_geometry(), {"nx": 32}),
+    "solver": (strip_geometry(), {"rtol": 1e-8}),
+    "eigen": (strip_geometry(), {"band": 0.1}),
+    "validate": (strip_geometry(), {"step": 0.01}),
+    "output": (strip_geometry(), {"path": "report.json"}),
+    "geometry.kind": ({"geometry": {"a": 1.0, "b": 1.0}}, "strip"),
+    "geometry.a": (strip_geometry(), 2.0),
+    "geometry.b": (strip_geometry(), 2.0),
+    "geometry.a_values": (strip_geometry(b_values=[1.0]), [1.0]),
+    "geometry.b_values": (strip_geometry(a_values=[1.0]), [1.0]),
+    "geometry.curve": (strip_geometry(), {"mode": 2}),
+    "geometry.boundary": (strip_geometry(), {"top": {"slope": 2.0}}),
+    "geometry.length": (segment_geometry(), 2.0),
+    "geometry.h1": (segment_geometry(), 0.5),
+    "geometry.h2": (segment_geometry(), 0.5),
+    "geometry.m": (segment_geometry(), 32),
+    "geometry.curve.heights": (strip_geometry(), [0.0] * 16),
+    "geometry.curve.mode": (strip_geometry(curve={"amplitude": 0.05}), 2),
+    "geometry.curve.amplitude": (strip_geometry(curve={"mode": 2}), 0.05),
+    "geometry.curve.phase": (strip_geometry(curve={"mode": 2}), 0.5),
+    "geometry.boundary.top": (strip_geometry(), {"slope": 2.0}),
+    "geometry.boundary.bottom": (strip_geometry(), {"slope": 0.5}),
+    "grid.nx": (strip_geometry(), 32),
+    "grid.ny": (strip_geometry(), 32),
+    "solver.rtol": (strip_geometry(), 1e-8),
+    "eigen.restriction": (strip_geometry(), "none"),
+    "eigen.band": (strip_geometry(), 0.1),
+    "eigen.compute_mu": (strip_geometry(), True),
+    "eigen.modes": (strip_geometry(), [2]),
+    "validate.flow": (strip_geometry(), {"kind": "cos"}),
+    "validate.step": (strip_geometry(), 0.01),
+    "validate.first_tol": (strip_geometry(), 1e-3),
+    "validate.second_tol": (strip_geometry(), 0.1),
+    "validate.criticality_tol": (strip_geometry(), 0.1),
+    "validate.flow.kind": (strip_geometry(), "cos"),
+    "validate.flow.mode": (strip_geometry(), 2),
+    "validate.flow.amplitude": (strip_geometry(), 0.5),
+    "output.path": (strip_geometry(), "report.json"),
+    **{"geometry.boundary.%s.%s" % (side, key): (
+        strip_geometry(boundary={side: {"constant": 2.0}}), value)
+       for side in ("top", "bottom")
+       for key, value in [("slope", 3.0), ("constant", 3.0),
+                          ("cos", [[1, 0.1]]), ("sin", [[1, 0.1]])]},
+}
+
+
+def _parse_or_fault(data):
+    try:
+        return parse_config(data)
+    except ConfigInvalid as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("path", [path for path in _accepted_paths()
+                                  if path != "eigen.seed"])
+def test_no_key_is_read_and_dropped(path):
+    # eigen.seed is the one key documented as ignored.  A required key is
+    # compared with another value of it (or with the refusal of its absence).
+    assert path in NON_DEFAULT, "no sample value for %s" % path
+    data, value = NON_DEFAULT[path]
+    assert parse_config(_set(data, path, value)) != _parse_or_fault(data)
+
+
+def test_readme_config_block_names_every_key():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```jsonc\n(.*?)```", readme.read_text(), re.S).group(1)
+    named = set(re.findall(r'"(\w+)"\s*:', block))   # comments included
+    for section, data in SECTIONS:
+        missing = set(_allowed_keys(data, section)) - named
+        assert not missing, (section or "config", sorted(missing))
 
 
 def test_boundary_overtones_are_applied():
