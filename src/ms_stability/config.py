@@ -215,8 +215,14 @@ def _number(value, where, required=False, below=None, **checks):
     return value
 
 
-def _numbers(value, where, **checks):
-    return None if value is None else _scalars(value, where, **checks)
+def _axis(value, where):
+    """A phase-diagram axis: a non-empty list of positive numbers."""
+    if value is None:
+        return None
+    values = _scalars(value, where, positive=True)
+    if not values:
+        raise ConfigInvalid("%s must be a non-empty list" % where)
+    return values
 
 
 def _choice(value, where, options):
@@ -319,8 +325,7 @@ _BOUNDARY = {side: partial(_section, table=_WALL, record=partial(
     for side in ("top", "bottom")}
 _CURVE = {"heights": _heights, "mode": _MODE, "amplitude": _number, "phase": _number}
 _STRIP = {"kind": _KIND, "a": _POSITIVE, "b": _POSITIVE,
-          "a_values": partial(_numbers, positive=True),
-          "b_values": partial(_numbers, positive=True),
+          "a_values": _axis, "b_values": _axis,
           "curve": _curve, "boundary": partial(_section, table=_BOUNDARY)}
 _SEGMENT = {"kind": _KIND, "length": partial(_REQUIRED, positive=True),
             "h1": _REQUIRED, "h2": _REQUIRED,

@@ -43,6 +43,11 @@ exact inverse of the same side's operator on a flat strip (one cosine
 transform across the rows, one FFT along the period).  On a flat curve
 that is the exact inverse, so CG stops after one iteration; on a curved
 one the iteration count depends on the curve's slope, not on the grid.
+Every solve stops on the normwise backward error in the infinity norm,
+|r| / (|A| |x| + |b|) <= rtol, with |A| bounded from below at assembly
+(_Component.solve); a relative residual |r| / |b| would ask for more
+than rounding allows when the load is small against A x, as on cells of
+aspect a/b of a few hundred.
 
 Every solve, curved meshes included, runs on NumPy alone; SciPy, from
 the test extra, only builds the CSR copy a_uu, which no solve reads.
@@ -139,10 +144,11 @@ class Grid(Record, frozen=True):
 class SolveStats(Record, frozen=True):
     """Conjugate-gradient bookkeeping for one solve.
 
-    From _Component.solve: the iterations and the confirmed relative
-    residual of one half strip.  From a field solve (_solve_sides): the
-    iterations summed and the residual maximised over both sides, with
-    each side's record in components, upper first.
+    From _Component.solve: the iterations and the confirmed normwise
+    backward error |b - A x| / (|A| |x| + |b|) (infinity norms) of one
+    half strip.  From a field solve (_solve_sides): the iterations summed
+    and the residual maximised over both sides, with each side's record
+    in components, upper first.
     """
 
     iterations: int
@@ -220,6 +226,10 @@ class _Component:
         self._area = hx * float(np.sum(a - psi))
         # Read-only, as are the views below: both sides may be this object.
         self._slabs.flags.writeable = self._drift.flags.writeable = False
+        # A lower bound on ||a_uu||_inf for the stop test (solve): each full
+        # stiffness row sums to zero, so sum_j |a_ij| >= 2 a_ii, and node
+        # rows 0..ny - 2 meet no wall node, so a_uu holds their full rows.
+        self._a_norm = 2.0 * float(self._slabs[0, 1:ny].max())
 
         self.nx = nx
         self.ny = ny
@@ -308,51 +318,65 @@ class _Component:
         curve converges in one iteration and a curved one in a number of
         iterations set by the curve's slope, not by the grid size.  CG
         starts from start (zero when it is None or zero, the same
-        arithmetic either way) and stops on the unpreconditioned relative
-        residual <= rtol, measured as rhs - a_uu x: the recurrence residual
+        arithmetic either way) and stops on the normwise backward error
+        in the infinity norm,
+          eta = |r| / (|a_uu| |x| + |rhs|) <= rtol,  r = rhs - a_uu x,
+        the smallest relative change to a_uu and rhs that makes x exact
+        (Rigal and Gaches, 1967).  |a_uu| is the lower bound fixed at
+        assembly, so eta is never below the true one.  Unlike the relative
+        residual |r| / |rhs|, eta does not ask for more than rounding
+        allows when rhs is small against a_uu x.  The recurrence residual
         CG stops on can sit a rounding error below the true one, so each
-        stop is confirmed on the true residual, and an unconfirmed one
-        resumes CG from x, restarted on the true residual with half the
-        threshold.  Raises SolverDiverged when CG breaks down, when a
-        confirmation makes no progress over the previous one (rtol is below
-        what rounding allows), or after MAXITER_FACTOR * nx * ny
-        iterations.  CG runs at unit scale, max |rhs| in [1/2, 1), which a
-        power of two reaches exactly; start is scaled by the same power, so
-        its inner products neither under- nor overflow.  Returns
-        (x, SolveStats).
+        stop is confirmed on rhs - a_uu x, and an unconfirmed one resumes
+        CG from x, restarted on the true residual with half the threshold.
+        Raises SolverDiverged when CG breaks down, when a confirmation
+        makes no progress over the previous one (rtol is below what
+        rounding allows), or after MAXITER_FACTOR * nx * ny iterations.
+        CG runs at unit scale, max |rhs| in [1/2, 1), which a power of two
+        reaches exactly; start is scaled by the same power, so its inner
+        products neither under- nor overflow.  Returns (x, SolveStats)
+        with the confirmed eta as the residual.
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), SolveStats(0, 0.0)
-        exponent = np.frexp(np.max(np.abs(rhs)))[1]
+        # b_norm is max |rhs| at unit scale, the norm the stop test reads
+        b_norm, exponent = np.frexp(_max_abs(rhs))
         rhs = np.ldexp(rhs, -exponent)
-        norm = np.linalg.norm(rhs)
         if start is None or not np.any(start):
             x, r = np.zeros(self.n_unknown), rhs.copy()
         else:
             x = np.ldexp(start, -exponent)
             r = rhs - self._apply(x)
-        count, bound, last = 0, rtol * norm, np.inf
+        count, tol, last = 0, rtol, np.inf
         while True:
-            x, count = self._cg(x, r, bound, count)
+            x, count = self._cg(x, r, tol, b_norm, count)
             r = rhs - self._apply(x)
-            residual = float(np.linalg.norm(r) / norm)
-            if residual <= rtol:
-                return np.ldexp(x, exponent), SolveStats(count, residual)
-            if not residual < last:  # also ends a NaN residual
+            error = float(_max_abs(r)
+                          / (self._a_norm * _max_abs(x) + b_norm))
+            if error <= rtol:
+                return np.ldexp(x, exponent), SolveStats(count, error)
+            if not error < last:  # also ends a NaN error
                 raise SolverDiverged(
-                    "stalled at relative residual %.3g > rtol %.3g after %d "
-                    "iterations" % (residual, rtol, count))
-            last, bound = residual, 0.5 * bound
+                    "stalled at backward error %.3g > rtol %.3g after %d "
+                    "iterations" % (error, rtol, count))
+            last, tol = error, 0.5 * tol
 
-    def _cg(self, x, r, bound, count):
-        """Preconditioned CG from x, whose residual is r, until |r| < bound.
+    def _cg(self, x, r, tol, b_norm, count):
+        """Preconditioned CG from x, whose residual is r, until the backward
+        error |r| / (|a_uu| |x| + b_norm) is at most tol (infinity norms,
+        b_norm = |rhs|).
 
         The recurrence of scipy.sparse.linalg.cg; x and r are updated in
-        place.  count carries the iterations over restarts.  Returns
-        (x, count).
+        place.  |r| <= tol b_norm implies the stop, so |x| is taken only
+        when that test fails.  count carries the iterations over restarts.
+        Returns (x, count).
         """
         p = rho_prev = None
-        while np.linalg.norm(r) >= bound:
+        while True:
+            norm = _max_abs(r)
+            if (norm <= tol * b_norm
+                    or norm <= tol * (self._a_norm * _max_abs(x) + b_norm)):
+                return x, count
             if count >= MAXITER_FACTOR * self.n_unknown:
                 raise SolverDiverged("did not converge in %d iterations"
                                      % count)
@@ -374,7 +398,6 @@ class _Component:
             r -= alpha * q
             rho_prev = rho
             count += 1
-        return x, count
 
     def curve_block_symbol(self):
         """rfft symbol, (nx//2 + 1,), of the curve-row block (a_uu^-1)_00
@@ -488,6 +511,11 @@ def _cosine_basis(ny):
     basis = np.cos(np.outer(np.arange(ny), theta_y))
     basis.flags.writeable = False
     return basis
+
+
+def _max_abs(v):
+    """The infinity norm of a vector."""
+    return np.abs(v).max()
 
 
 def _rolled_rows(coef, y):
