@@ -66,6 +66,7 @@ from .validation import (
     criticality_residuals,
     energy_along_flow,
     fd_derivatives,
+    flow_rates,
     total_energy,
     validate_second_variation,
 )

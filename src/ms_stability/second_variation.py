@@ -363,8 +363,13 @@ class SecondVariationResult(Record, frozen=True):
     mismatch: float
 
 
-def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
-    """Evaluate the second variation at a raw perturbation phi."""
+def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL,
+                           with_field=False):
+    """Evaluate the second variation at a raw perturbation phi.
+
+    Returns the SecondVariationResult, or with with_field the pair
+    (result, v_phi) with v_phi the transport field the value is read from.
+    """
     phi = np.asarray(phi, dtype=float)
     vfield, dual_vec = TOperator(state, gram, rtol)._transport(phi)
     norm_sq = gram.form(phi)
@@ -372,7 +377,8 @@ def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL):
     direct = -2.0 * elliptic.dirichlet_energy(vfield) + norm_sq
     dual = norm_sq - t_form
     mismatch = abs(direct - dual) / max(1.0, abs(direct))
-    return SecondVariationResult(value=direct, dual=dual, mismatch=mismatch)
+    result = SecondVariationResult(value=direct, dual=dual, mismatch=mismatch)
+    return (result, vfield) if with_field else result
 
 
 def lambda1(op, seed=None):

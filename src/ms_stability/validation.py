@@ -65,50 +65,111 @@ def total_energy(domain, curve, grid, rtol=elliptic.DEFAULT_RTOL):
 
 
 def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL,
-                      base=None):
+                      base=None, rate=None):
     """Energy samples g(t) along the vertical flow, in the order of steps.
 
     g(t) = E+(psi_t) + E-(psi_t) + L(psi_t) for the flowed curve psi_t,
     with each side's energy from elliptic.side_energy: the two sides run
     as two separate sequences of half-strip solves, so one _Component is
     alive at a time.  Within a side the steps run in increasing |t|, and
-    each CG starts from the Lagrange extrapolation in t of the side's last
-    (at most three) solutions at distinct times.  base, when given, is the
+    each CG starts from an extrapolation in t (_start) of the side's last
+    (at most four) solutions at distinct times.  base, when given, is the
     (upper, lower) unknowns of the state solved on the unflowed curve (its
     w without the wall row), the t = 0 solution that starts both sequences.
-    Each g(t) is the total_energy of the flowed curve to solver accuracy,
-    and bit for bit where a solve starts cold; the reduction order is
-    fixed, so repeated runs are bit-identical.
+    rate, when given with base, is each side's derivative of those
+    unknowns along the flow at t = 0 (flow_rates), and turns the
+    extrapolation into a Hermite one.  Each g(t) is the total_energy of
+    the flowed curve to solver accuracy, and bit for bit where a solve
+    starts cold; the reduction order is fixed, so repeated runs are
+    bit-identical.
     """
+    if rate is not None and base is None:
+        raise ValueError("a flow rate needs the base unknowns")
     ts = np.array(flow.steps, dtype=float)
     moved = [geometry.flow_curve(curve, flow, t) for t in flow.steps]
     order = sorted(range(ts.size), key=lambda k: abs(ts[k]))
     energies = []
     for k, side in enumerate(("upper", "lower")):
         solved = [] if base is None else [(0.0, base[k])]
+        hermite = None if rate is None else (base[k], rate[k])
         energy = np.empty_like(ts)
         for i in order:
             t = ts[i]
             energy[i], u = elliptic.side_energy(
                 domain, moved[i], grid, side, rtol=rtol,
-                start=_extrapolate(solved, t))
-            solved = [(s, v) for s, v in solved if s != t][-2:] + [(t, u)]
+                start=_start(solved, t, hermite))
+            solved = [(s, v) for s, v in solved if s != t][-3:] + [(t, u)]
         energies.append(energy)
     lengths = np.array([geometry.curve_length(c) for c in moved])
     return ts, energies[0] + energies[1] + lengths
 
 
-def _extrapolate(solved, t):
-    """The Lagrange polynomial through the (time, solution) pairs of
-    solved, at distinct times, evaluated at t; None when solved is empty."""
+def _start(solved, t, hermite=None):
+    """A CG start at time t from the (time, solution) pairs of solved, at
+    distinct times; None when there is nothing to start from.
+
+    Without hermite, the Lagrange polynomial through solved, at t.  With
+    hermite = (u0, rate), the solution and its t-derivative at t = 0, the
+    Hermite extrapolation u0 + t rate + t^2 q(t), q the Lagrange
+    polynomial through (w(s) - u0 - s rate) / s^2 over the pairs at s != 0
+    (at s = 0 the quotient is undefined, and the pair is u0 itself).  That
+    is a combination of u0, rate and the stored solutions, so no quotient
+    is formed.
+    """
+    if hermite is None:
+        terms = list(zip(_lagrange(solved, t), (u for _, u in solved)))
+    else:
+        u0, rate = hermite
+        solved = [(s, u) for s, u in solved if s != 0.0]
+        coefs = [c * (t / s) ** 2
+                 for c, (s, _) in zip(_lagrange(solved, t), solved)]
+        terms = [(1.0 - sum(coefs), u0),
+                 (t - sum(c * s for c, (s, _) in zip(coefs, solved)), rate)]
+        terms += zip(coefs, (u for _, u in solved))
     start = None
-    for j, (tj, uj) in enumerate(solved):
+    for coef, u in terms:
+        start = coef * u if start is None else start + coef * u
+    return start
+
+
+def _lagrange(solved, t):
+    """The Lagrange basis polynomials of the distinct times of solved, at t."""
+    weights = []
+    for j, (tj, _) in enumerate(solved):
         weight = 1.0
         for k, (tk, _) in enumerate(solved):
             if k != j:
                 weight *= (t - tk) / (tj - tk)
-        start = weight * uj if start is None else start + weight * uj
-    return start
+        weights.append(weight)
+    return weights
+
+
+def flow_rates(state, vfield, phi):
+    """Each side's derivative of the state's unknowns along the vertical
+    flow psi + t phi at t = 0, on a flat base curve: (upper, lower).
+
+    The transport field v_phi (elliptic.solve_jump_source) is the
+    derivative of the state at fixed points of the strip.  Node row j of
+    a side's mesh moves with the curve at the vertical speed
+    V = +-phi (1 - j/ny), so the nodal values change at the rate
+    v_phi + V d_y u0.  The sign is - on the lower side, which is the half
+    strip of -psi; d_y u0 is taken from the base state's rows, wall row
+    included: central differences inside, the second-order one-sided one
+    on the curve row.  Only the unknown rows are returned.  On the flat
+    base this matches central differences of re-solved flowed states to
+    the discretization error of d_y u0; a curved base's rows are sheared,
+    and there it does not hold.
+    """
+    system = state.system
+    a, ny = system.domain.half_height, system.grid.ny
+    height = system.curve.heights[0]
+    speed = np.outer(1.0 - np.arange(ny) / ny, phi)
+    rates = []
+    for side, sign in (("upper", 1.0), ("lower", -1.0)):
+        u0, v = state._pick(side)[1], vfield._pick(side)[1]
+        d_y = np.gradient(u0, (a - sign * height) / ny, axis=0, edge_order=2)
+        rates.append((v[:-1] + sign * speed * d_y[:-1]).ravel())
+    return tuple(rates)
 
 
 class FDEstimate(Record, frozen=True):
@@ -196,33 +257,40 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
 
     Solves the state on the base curve and takes from it the
     transmission residuals, the base energy, the assembled quadratic
-    form (one transport solve) and its unknowns, then drops it.  Only
-    then does it flow the curve by psi at times {+-step, +-2 step} with
-    energy_along_flow, started from those unknowns (the base energy is
-    the t = 0 sample).  The flow assembles one half strip at a time, so
-    once the base system is gone at most one _Component is alive.
-    Finally it Richardson-extrapolates g'(0) and g''(0) and compares
-    g''(0) with the assembled form.  The first derivative must vanish
-    relative to the base energy for a critical pair; a large transmission
-    residual is flagged (non_critical) but does not fail the report on
-    its own.
+    form (one transport solve) and its unknowns, and on a flat base
+    curve their rate along the flow (flow_rates, from the form's
+    transport field), then drops it.  Only then does it flow the curve by
+    psi at times {+-step, +-2 step} with energy_along_flow, started from
+    those unknowns and that rate (the base energy is the t = 0 sample).
+    On a curved base flow_rates misses the flowed states by 2e-2 to 4e-1
+    (sine curves at 64^2), and Hermite starts from it cost more CG
+    iterations than Lagrange ones, so the flow gets no rate.  The flow
+    assembles one half strip at a time, so once the base system is gone
+    at most one _Component is alive.  Finally it Richardson-extrapolates
+    g'(0) and g''(0) and compares g''(0) with the assembled form.  The
+    first derivative must vanish relative to the base energy for a
+    critical pair; a large transmission residual is flagged
+    (non_critical) but does not fail the report on its own.
     """
     psi = np.asarray(psi, dtype=float)
     state, _ = elliptic.solve_state(domain, curve, grid, rtol=rtol)
     crit = criticality_residuals(state)
     base = elliptic.dirichlet_energy(state) + geometry.curve_length(curve)
     gram = second_variation.assemble_tilde_gram(curve, restriction="none")
-    assembled = second_variation.second_variation_value(state, gram, psi,
-                                                        rtol=rtol)
+    assembled, vfield = second_variation.second_variation_value(
+        state, gram, psi, rtol=rtol, with_field=True)
     base_unknowns = (state.w_upper[:-1].ravel(), state.w_lower[:-1].ravel())
-    del state  # frees the base system before the flow builds its own
+    rate = None
+    if np.all(curve.heights == curve.heights[0]):
+        rate = flow_rates(state, vfield, psi)
+    del state, vfield  # frees the base system before the flow builds its own
     flow = geometry.FlowSpec(
         direction=psi,
         half_height=domain.half_height,
         steps=(-2.0 * step, -step, step, 2.0 * step),
     )
     ts, gs = energy_along_flow(domain, curve, flow, grid, rtol=rtol,
-                               base=base_unknowns)
+                               base=base_unknowns, rate=rate)
     ts, gs = np.insert(ts, 2, 0.0), np.insert(gs, 2, base)
     fd = fd_derivatives(ts, gs)
     mismatch = abs(fd.second - assembled.value) / max(1.0, abs(assembled.value))

@@ -170,7 +170,9 @@ def test_energy_along_flow_is_deterministic():
 
 def flow_cases():
     """(domain, curve, flow, grid) with a curved base, asymmetric steps
-    that include 0, overtone walls, nx != ny and a repeated step."""
+    that include 0, overtone walls, nx != ny and a repeated step; the last
+    two have flat bases (FLAT_FLOW_CASES), the last at a nonzero height
+    with 0 and a repeated step among its steps."""
     x24 = np.arange(24) / 24.0
     yield (drift_domain(1.0, 1.0),
            ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05),
@@ -187,9 +189,18 @@ def flow_cases():
            ms.FlowSpec(direction=np.sin(2.0 * np.pi * np.arange(16) / 16.0),
                        half_height=1.0, steps=(0.01, 0.01)),
            ms.Grid(16, 20))
+    yield (overtone_domain(0.2, -0.1, 0.15, 0.05),
+           ms.GraphCurve(1.0, np.full(24, 0.1)),
+           ms.FlowSpec(direction=np.cos(2.0 * np.pi * x24) + 0.5,
+                       half_height=1.0,
+                       steps=(0.0, -0.01, 0.02, 0.0, -0.01, 0.03)),
+           ms.Grid(24, 40))
 
 
-@pytest.mark.parametrize("case", range(3))
+FLAT_FLOW_CASES = (2, 3)
+
+
+@pytest.mark.parametrize("case", range(4))
 @pytest.mark.parametrize("with_base", [False, True])
 def test_energy_along_flow_is_the_total_energy_of_each_flowed_curve(case,
                                                                     with_base):
@@ -211,6 +222,128 @@ def test_energy_along_flow_is_the_total_energy_of_each_flowed_curve(case,
     if not with_base:
         first = int(np.argmin(np.abs(ts)))
         assert gs[first] == refs[first]
+
+
+@pytest.mark.parametrize("case", FLAT_FLOW_CASES)
+def test_energy_along_flow_with_a_rate_is_the_total_energy(case):
+    # The Hermite start skips the t = 0 pairs (the base itself, or its
+    # re-solve) and keeps one pair per time, where (w - u0 - t rate) / t^2
+    # would divide by zero; a start moves each energy only within solver
+    # accuracy.
+    domain, curve, flow, grid = list(flow_cases())[case]
+    state, _ = ms.solve_state(domain, curve, grid)
+    gram = ms.assemble_tilde_gram(curve, "none")
+    _, vfield = ms.second_variation_value(state, gram, flow.direction,
+                                          with_field=True)
+    rate = ms.flow_rates(state, vfield, flow.direction)
+    base = (state.w_upper[:-1].ravel(), state.w_lower[:-1].ravel())
+    ts, gs = ms.energy_along_flow(domain, curve, flow, grid, base=base,
+                                  rate=rate)
+    assert ts.tolist() == list(flow.steps)
+    for t, g in zip(ts, gs):
+        ref = ms.total_energy(domain, ms.flow_curve(curve, flow, t), grid)
+        assert abs(g - ref) <= 1e-12 * abs(ref)
+
+
+def test_a_rate_needs_the_base():
+    domain, curve, flow, grid = list(flow_cases())[2]
+    rate = (np.zeros(grid.nx * grid.ny),) * 2
+    with pytest.raises(ValueError, match="needs the base"):
+        ms.energy_along_flow(domain, curve, flow, grid, rate=rate)
+
+
+def test_starts_are_exact_on_polynomials():
+    # Lagrange through four times reproduces a cubic; the Hermite start
+    # u0 + t rate + t^2 q(t), q through the pairs at s != 0, reproduces a
+    # quartic from three of them, whatever the t = 0 pair holds.
+    coef = np.random.default_rng(5).standard_normal((5, 3))
+
+    def w(t):
+        return coef.T @ t ** np.arange(5)
+
+    times = (-0.01, 0.01, -0.02)
+    t = 0.02
+    quartic = [(0.0, np.full(3, 7.0))] + [(s, w(s)) for s in times]
+    start = validation._start(quartic, t, hermite=(w(0.0), coef[1]))
+    np.testing.assert_allclose(start, w(t), rtol=1e-12)
+    coef[4] = 0.0
+    cubic = [(0.0, w(0.0))] + [(s, w(s)) for s in times]
+    np.testing.assert_allclose(validation._start(cubic, t), w(t), rtol=1e-12)
+    # at a solved time the start is that solution; with nothing solved it
+    # is the tangent, or None without a rate
+    assert validation._start([(0.01, w(0.01))], 0.01,
+                             hermite=(w(0.0), coef[1])) == \
+        pytest.approx(w(0.01), rel=1e-14)
+    assert validation._start([], 0.01, hermite=(w(0.0), coef[1])) == \
+        pytest.approx(w(0.0) + 0.01 * coef[1], rel=1e-15)
+    assert validation._start([], 0.01) is None
+
+
+def flow_derivative(domain, curve, grid, phi):
+    """(transport field, flow_rates, central difference of the flowed
+    unknowns) on each side, upper first, at rtol 1e-13 and step 1e-4: the
+    transport solve on the base mesh against re-solves on flowed meshes."""
+    rtol, h = 1e-13, 1e-4
+    state, _ = ms.solve_state(domain, curve, grid, rtol=rtol)
+    _, vfield = ms.second_variation_value(
+        state, ms.assemble_tilde_gram(curve, "none"), phi, rtol=rtol,
+        with_field=True)
+    rates = ms.flow_rates(state, vfield, phi)
+    flow = ms.FlowSpec(direction=phi, half_height=domain.half_height)
+    out = []
+    for k, side in enumerate(("upper", "lower")):
+        up, down = (elliptic.side_energy(domain, ms.flow_curve(curve, flow, t),
+                                         grid, side, rtol=rtol)[1]
+                    for t in (h, -h))
+        out.append((vfield._pick(side)[1][:-1].ravel(), rates[k],
+                    (up - down) / (2.0 * h)))
+    return out
+
+
+def relative_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+def test_transport_field_is_the_derivative_of_the_flowed_state():
+    # On the canonical flat pair u0 does not vary across the rows (up to
+    # rounding), so the rows' motion adds nothing and each side's transport
+    # field is the derivative of its unknowns along the flow (measured gap
+    # 9.9e-8, the finite difference's own error).
+    x = np.arange(64) / 64.0
+    for v, rate, fd in flow_derivative(drift_domain(1.0, 1.0),
+                                       ms.flat_curve(1.0, 64), ms.Grid(64, 64),
+                                       np.sin(2.0 * np.pi * x)):
+        assert relative_gap(rate, v) <= 1e-12
+        assert relative_gap(v, fd) <= 1e-6
+
+
+def raised_overtone_pair():
+    return (overtone_domain(0.2, -0.1, 0.15, 0.05),
+            ms.GraphCurve(1.0, np.full(64, 0.1)))
+
+
+@pytest.mark.parametrize("pair", ["top", "both"])
+def test_flow_rate_carries_the_rows_motion(pair):
+    # Under an overtone wall u0 varies across the rows, and the rate
+    # v_phi + V d_y u0 matches the flowed re-solves to discretization
+    # accuracy where v_phi alone does not.  Measured at 64^2, upper then
+    # lower: cos overtone 0.2 on the top wall of a = 0.7, b = 2, rate gaps
+    # 1.1e-4 and 2.6e-8 against 4.9e-2 and 2.6e-8 for v_phi (the lower
+    # datum has no overtone); overtones on both walls around the flat
+    # curve at height 0.1, 8.7e-5 and 2.5e-4 against 6.6e-2 and 5.2e-2.
+    if pair == "top":
+        domain = ms.StripDomain(
+            0.7, 2.0, ms.BoundaryData(1.0, lambda x: 1.0 + 0.2 * np.cos(np.pi * x)),
+            ms.BoundaryData(-1.0))
+        curve = ms.flat_curve(2.0, 64)
+    else:
+        domain, curve = raised_overtone_pair()
+    phi = np.sin(2.0 * np.pi * curve.abscissae / curve.period)
+    sides = flow_derivative(domain, curve, ms.Grid(64, 64), phi)
+    for k, (v, rate, fd) in enumerate(sides):
+        assert relative_gap(rate, fd) <= 1e-3
+        if pair == "both" or k == 0:
+            assert relative_gap(v, fd) >= 1e-2
 
 
 def test_flow_escape_propagates():
@@ -293,11 +426,9 @@ def test_validate_keeps_one_component_alive(monkeypatch):
     assert alive_at[2:] == [[]] * 8
 
 
-def test_validate_flow_starts_its_solves_from_extrapolations(monkeypatch):
-    # validate at 256^2 on the flat unit strip with the default sine flow:
-    # started from the base state and from extrapolations, the eight
-    # flowed half-strip solves take 34 CG iterations in all, where cold
-    # starts take 44.
+def flowed_iterations(monkeypatch, domain, curve, grid, psi):
+    """(report, CG iterations of each flowed half-strip solve) of
+    validate_second_variation with the flow psi."""
     iterations, in_flow = [], []
     solve, flow = elliptic._Component.solve, validation.energy_along_flow
 
@@ -316,13 +447,75 @@ def test_validate_flow_starts_its_solves_from_extrapolations(monkeypatch):
 
     monkeypatch.setattr(elliptic._Component, "solve", counting_solve)
     monkeypatch.setattr(validation, "energy_along_flow", marked_flow)
+    report = ms.validate_second_variation(domain, curve, grid, psi)
+    return report, iterations
+
+
+def test_validate_flow_starts_its_solves_from_extrapolations(monkeypatch):
+    # validate at 256^2 on the flat unit strip with the default sine flow:
+    # started from the base state and from Hermite extrapolations along
+    # the flow's rate, the eight flowed half-strip solves take 18 CG
+    # iterations in all (2, 1, 1, 2 upper; 4, 3, 3, 2 lower), where
+    # Lagrange extrapolations of the solutions alone take 27.
     curve = ms.flat_curve(1.0, 256)
     psi = np.sin(2.0 * math.pi * curve.abscissae)
-    report = ms.validate_second_variation(drift_domain(1.0, 1.0), curve,
-                                          ms.Grid(256, 256), psi)
+    report, iterations = flowed_iterations(
+        monkeypatch, drift_domain(1.0, 1.0), curve, ms.Grid(256, 256), psi)
     assert report.passed
     assert len(iterations) == 8
-    assert sum(iterations) <= 36
+    assert sum(iterations) <= 20
+
+
+def test_curved_flow_starts_are_no_slower(monkeypatch):
+    # A curved base gets no rate (there flow_rates misses the flowed
+    # states by 2e-2 and more), and Lagrange starts through up to four
+    # solved times take 49 iterations here, 52 through three.
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.05)
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    _, iterations = flowed_iterations(
+        monkeypatch, drift_domain(1.0, 1.0), curve, ms.Grid(32, 32), psi)
+    assert len(iterations) == 8
+    assert sum(iterations) <= 52
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_validate_makes_one_transport_solve(monkeypatch, flat):
+    # The flow's rate comes from the transport field of the assembled
+    # value, not from a second solve.
+    calls = []
+    solve = elliptic.solve_jump_source
+
+    def counting_solve(*args, **kwargs):
+        calls.append(True)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "solve_jump_source", counting_solve)
+    curve = ms.sinusoidal_curve(1.0, 32, mode=1, amplitude=0.0 if flat else 0.05)
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    ms.validate_second_variation(drift_domain(1.0, 1.0), curve,
+                                 ms.Grid(32, 32), psi)
+    assert len(calls) == 1
+
+
+def test_validate_with_a_rate_keeps_one_component_alive(monkeypatch):
+    # As test_validate_keeps_one_component_alive, on a flat base, whose
+    # flow carries the rate: the rate is two vectors, not the transport
+    # field, which would keep the base system alive through the flow.
+    built, alive_at = [], []
+    init = elliptic._Component.__init__
+
+    def recording_init(self, *args, **kwargs):
+        alive_at.append([k for k, ref in enumerate(built) if ref() is not None])
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(elliptic._Component, "__init__", recording_init)
+    domain, curve = raised_overtone_pair()
+    psi = np.sin(2.0 * math.pi * curve.abscissae)
+    ms.validate_second_variation(domain, curve, ms.Grid(64, 32), psi)
+    assert len(built) == 10
+    assert alive_at[:2] == [[], [0]]
+    assert alive_at[2:] == [[]] * 8
 
 
 def test_validate_flags_non_critical_configuration():
