@@ -15,7 +15,6 @@ from .errors import (
     GramSingular,
     InsufficientSamples,
     InvalidRestriction,
-    OddMode,
     SolverDiverged,
     StabilityError,
 )

@@ -2,15 +2,18 @@
 
 With the straight cut y = 0 and the separated drift data, the nonlocal
 operator diagonalizes in the Fourier basis: the perturbation
-cos(n pi x / b) (n even, by periodicity) has eigenvalue
+cos(2 pi k x / b), k >= 1 periods across the strip, has eigenvalue
 
-    lambda_n = (4 b / (n pi)) * tanh(n pi a / b),
+    lambda_k = (2 b / (k pi)) * tanh(2 pi k a / b),
 
 so the leading eigenvalue is lambda_1 = (2 b / pi) * tanh(2 pi a / b)
 and the flat pair is strictly stable exactly when that value is below
 one.  The matching bulk fields are sin * sinh separated modes, also
 provided here for solver cross-checks (state_probe_error and
-jump_probe_error measure both solvers against them).
+jump_probe_error measure both solvers against them).  Every product
+takes 2 k pi first (2 * k * math.pi), so each value is bit for bit the
+one written with the half-period count n = 2 k, (4 b / (n pi)) *
+tanh(n pi a / b): doubling is exact in binary floating point.
 """
 
 import math
@@ -18,57 +21,52 @@ import math
 import numpy as np
 
 from . import elliptic, geometry
-from .errors import OddMode
+
 
 def _check_strip(a, b):
     if not (np.isfinite(a) and a > 0 and np.isfinite(b) and b > 0):
         raise ValueError("strip parameters must be positive and finite")
 
 
-def _check_mode(n):
-    """n as an int; ValueError unless an integer >= 2, OddMode if odd."""
-    if int(n) != n or n < 2:
-        raise ValueError("mode index must be an integer >= 2")
-    n = int(n)
-    if n % 2 != 0:
-        raise OddMode("mode index %d is odd; periodicity forces even modes" % n)
-    return n
+def _check_mode(k):
+    """k as an int; ValueError unless an integer >= 1."""
+    if int(k) != k or k < 1:
+        raise ValueError("mode index must be an integer >= 1")
+    return int(k)
 
 
-def mode_lambda(n, a, b):
-    """Eigenvalue of the mode cos(n pi x / b) on the flat interface.
+def mode_lambda(k, a, b):
+    """Eigenvalue of the mode cos(2 pi k x / b) on the flat interface.
 
-    n must be an even integer >= 2: odd modes are not b-periodic and
-    raise OddMode.  For large n pi a / b the tanh factor rounds to 1
-    (math.tanh(t) is exactly 1.0 from t ~ 19.07 on), so the asymptote
-    4 b / (n pi) is returned.
+    k must be an integer >= 1.  For large 2 pi k a / b the tanh factor
+    rounds to 1 (math.tanh(t) is exactly 1.0 from t ~ 19.07 on), so the
+    asymptote 2 b / (k pi) is returned.
     """
     _check_strip(a, b)
-    n = _check_mode(n)
-    return 4.0 * b / (n * math.pi) * math.tanh(n * math.pi * a / b)
+    wave = 2 * _check_mode(k) * math.pi
+    return 4.0 * b / wave * math.tanh(wave * a / b)
 
 
 def lambda1_strip(a, b):
     """Leading eigenvalue (2 b / pi) tanh(2 pi a / b) of the flat pair."""
-    return mode_lambda(2, a, b)
+    return mode_lambda(1, a, b)
 
 
-def strip_mode_field(n, amplitude, domain, grid):
-    """Separated bulk mode paired with the perturbation cos(n pi x / b).
+def strip_mode_field(k, amplitude, domain, grid):
+    """Separated bulk mode paired with the perturbation cos(2 pi k x / b).
 
     Returns a SlitField on the flat-cut strip whose value on both sides
-    is  amplitude * sin(n pi x / b) * sinh(n pi (a - |y|) / b); it is
+    is  amplitude * sin(2 pi k x / b) * sinh(2 pi k (a - |y|) / b); it is
     harmonic, vanishes on the walls, and is even in y.
     """
     _check_strip(domain.half_height, domain.period)
-    n = _check_mode(n)
     a = domain.half_height
-    k = n * math.pi / domain.period
+    wave = 2 * _check_mode(k) * math.pi / domain.period
     curve = geometry.flat_curve(domain.period, grid.nx)
     system = elliptic.StripSystem(domain, curve, grid)
     x = system.abscissae
     y = a * (np.arange(grid.ny + 1) / grid.ny)
-    values = amplitude * np.sin(k * x)[None, :] * np.sinh(k * (a - y))[:, None]
+    values = amplitude * np.sin(wave * x)[None, :] * np.sinh(wave * (a - y))[:, None]
     return elliptic.SlitField(
         system=system,
         slope_upper=0.0,
@@ -78,17 +76,16 @@ def strip_mode_field(n, amplitude, domain, grid):
     )
 
 
-def mode_trace_slope(n, amplitude, a, b):
+def mode_trace_slope(k, amplitude, a, b):
     """d/dy of the mode field at the cut, from the upper side.
 
-    The trace derivative is -amplitude * (n pi / b) * cosh(n pi a / b)
-    * sin(n pi x / b); returned as the coefficient of sin(n pi x / b).
-    n must be an even integer >= 2, as for mode_lambda.
+    The trace derivative is -amplitude * (2 pi k / b) * cosh(2 pi k a / b)
+    * sin(2 pi k x / b); returned as the coefficient of sin(2 pi k x / b).
+    k must be an integer >= 1, as for mode_lambda.
     """
     _check_strip(a, b)
-    n = _check_mode(n)
-    k = n * math.pi / b
-    return -amplitude * k * math.cosh(k * a)
+    wave = 2 * _check_mode(k) * math.pi / b
+    return -amplitude * wave * math.cosh(wave * a)
 
 
 def state_probe_error(domain, n):
@@ -114,7 +111,7 @@ def jump_probe_error(domain, n):
     """Max nodal errors (upper, lower) of the transport solve on an n x n grid.
 
     domain must carry the canonical walls (x + 1 above, -x below); with
-    the flat cut, phi = cos(2 pi x / b) then drives strip_mode_field(2)
+    the flat cut, phi = cos(2 pi x / b) then drives strip_mode_field(1)
     of amplitude 1 / cosh(2 pi a / b).
     """
     a, b = domain.half_height, domain.period
@@ -123,6 +120,6 @@ def jump_probe_error(domain, n):
     state, _ = elliptic.solve_state(domain, curve, grid)
     phi = np.cos(2.0 * math.pi * curve.abscissae / b)
     field, _ = elliptic.solve_jump_source(state, phi)
-    ref = strip_mode_field(2, 1.0 / math.cosh(2.0 * math.pi * a / b), domain, grid)
+    ref = strip_mode_field(1, 1.0 / math.cosh(2.0 * math.pi * a / b), domain, grid)
     return (np.max(np.abs(field.w_upper - ref.w_upper)),
             np.max(np.abs(field.w_lower - ref.w_lower)))

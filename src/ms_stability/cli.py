@@ -334,11 +334,11 @@ def _run_compare(cfg):
 
     x = curve.abscissae
     mode_rows = []
-    for n in cfg.eigen.modes:
-        lam_an = analytic_oracle.mode_lambda(n, a, b)
-        phi = np.sin(n * math.pi * x / b)
+    for k in cfg.eigen.modes:
+        lam_an = analytic_oracle.mode_lambda(k, a, b)
+        phi = np.sin(2 * k * math.pi * x / b)
         lam_num = op.rayleigh(phi)
-        mode_rows.append((n, lam_num, lam_an, abs(lam_num - lam_an) / lam_an))
+        mode_rows.append((k, lam_num, lam_an, abs(lam_num - lam_an) / lam_an))
 
     field_rows = []
     for label, probe in (("state", analytic_oracle.state_probe_error),
@@ -354,8 +354,8 @@ def _run_compare(cfg):
 
     lines = ["mode comparison (probe data: separated drift pair, flat curve)",
              "%-6s %-16s %-16s %s" % ("mode", "numeric", "analytic", "rel_error")]
-    for n, num, an, rel in mode_rows:
-        lines.append("%-6d %-16s %-16s %s" % (n, _fmt(num), _fmt(an), _fmt(rel)))
+    for k, num, an, rel in mode_rows:
+        lines.append("%-6d %-16s %-16s %s" % (k, _fmt(num), _fmt(an), _fmt(rel)))
     lines.append("")
     lines.append("field convergence (max nodal error, %d^2 -> %d^2 grid)"
                  % (n_coarse, n_fine))
@@ -376,11 +376,11 @@ def _run_compare(cfg):
                    "grid_ny": cfg.grid_ny, "modes": list(cfg.eigen.modes),
                    "restriction": cfg.eigen.restriction},
         "modes": [
-            {"mode": n,
+            {"mode": k,
              "numeric": _num(num, "numeric"),
              "analytic": _num(an, "analytic"),
              "rel_error": _num(rel, "numeric")}
-            for n, num, an, rel in mode_rows
+            for k, num, an, rel in mode_rows
         ],
         "fields": [
             {"solve": label,
@@ -423,9 +423,9 @@ def _run_oracle(cfg):
             "lambda1": _num(lam, "analytic"),
             "margin": _num(1.0 - lam, "analytic"),
             "modes": {
-                str(n): _num(scale * analytic_oracle.mode_lambda(n, a, b),
+                str(k): _num(scale * analytic_oracle.mode_lambda(k, a, b),
                              "analytic")
-                for n in cfg.eigen.modes
+                for k in cfg.eigen.modes
             },
         },
     }

@@ -44,6 +44,10 @@ def _scalar(val, where, integer=False, positive=False, minimum=None):
     return val if integer else as_float
 
 
+# every mode key's rule: k >= 1 periods of cos(2 pi k x / b) across the strip
+_MODE_INDEX = {"integer": True, "minimum": 1}
+
+
 def _scalars(raw, where, **checks):
     """A JSON list of numbers as a tuple, each element checked by _scalar."""
     if not isinstance(raw, list):
@@ -135,7 +139,7 @@ class EigenSpec(Record, frozen=True):
     restriction: str = "mean_zero"
     band: float = DEFAULT_BAND
     compute_mu: bool = False
-    modes: tuple = (2, 4, 6)
+    modes: tuple = (1, 2, 3)
 
 
 class FlowDirectionSpec(Record, frozen=True):
@@ -254,13 +258,13 @@ def _overtones(value, where):
         at = "%s[%d]" % (where, k)
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ConfigInvalid("%s must be [mode, amplitude]" % at)
-        out.append((_scalar(item[0], at + "[0]", integer=True, minimum=1),
+        out.append((_scalar(item[0], at + "[0]", **_MODE_INDEX),
                     _scalar(item[1], at + "[1]")))
     return tuple(out)
 
 
 def _modes(value, where):
-    modes = _scalars(value, where, integer=True, minimum=2)
+    modes = _scalars(value, where, **_MODE_INDEX)
     if not modes:
         raise ConfigInvalid("%s must be a non-empty list of integers" % where)
     return modes
@@ -316,7 +320,7 @@ def _geometry(obj, where):
 _KIND = partial(_choice, options=("strip", "segment"))   # checked by _geometry
 _POSITIVE = partial(_number, positive=True)
 _REQUIRED = partial(_number, required=True)
-_MODE = partial(_number, integer=True, minimum=1)
+_MODE = partial(_number, **_MODE_INDEX)
 _GRID = partial(_number, integer=True, minimum=elliptic.MIN_GRID)
 _WALL = {"slope": _number, "constant": _number, "cos": _overtones, "sin": _overtones}
 # a wall that is given keeps its canonical slope, but not its constant

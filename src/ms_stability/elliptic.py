@@ -333,9 +333,11 @@ class _Component:
         makes no progress over the previous one (rtol is below what
         rounding allows), or after MAXITER_FACTOR * nx * ny iterations.
         CG runs at unit scale, max |rhs| in [1/2, 1), which a power of two
-        reaches exactly; start is scaled by the same power, so its inner
-        products neither under- nor overflow.  Returns (x, SolveStats)
-        with the confirmed eta as the residual.
+        reaches exactly; start is scaled in place by the same power, so its
+        inner products neither under- nor overflow.  A given start is
+        handed over: CG iterates in it, so it is overwritten, and a caller
+        that keeps its array passes a copy.  Returns (x, SolveStats) with
+        the confirmed eta as the residual.
         """
         if not np.any(rhs):
             return np.zeros(self.n_unknown), SolveStats(0, 0.0)
@@ -345,7 +347,7 @@ class _Component:
         if start is None or not np.any(start):
             x, r = np.zeros(self.n_unknown), rhs.copy()
         else:
-            x = np.ldexp(start, -exponent)
+            x = np.ldexp(start, -exponent, out=start)
             r = rhs - self._apply(x)
         count, tol, last = 0, rtol, np.inf
         while True:
@@ -686,11 +688,11 @@ def side_energy(domain, curve, grid, side, rtol=DEFAULT_RTOL, start=None):
 
     side is "upper", above the curve with the datum domain.top, or
     "lower", below it with domain.bottom.  The one _Component is built,
-    solved from start (see _Component.solve) and dropped on return.  The
-    two sides' energies sum to the dirichlet_energy of
-    solve_state(domain, curve, grid, rtol) to solver accuracy, and bit for
-    bit from cold starts.  Returns (energy, the side's unknowns, which can
-    start a later solve).
+    solved from start (see _Component.solve: start is overwritten) and
+    dropped on return.  The two sides' energies sum to the
+    dirichlet_energy of solve_state(domain, curve, grid, rtol) to solver
+    accuracy, and bit for bit from cold starts.  Returns (energy, the
+    side's unknowns, which can start a later solve once copied).
     """
     data = {"upper": domain.top, "lower": domain.bottom}[side]
     comp = _half_strip(domain, curve, grid, side)

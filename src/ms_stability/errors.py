@@ -34,9 +34,5 @@ class InvalidRestriction(StabilityError):
     """An admissible-subspace restriction does not apply to the geometry."""
 
 
-class OddMode(StabilityError):
-    """A Fourier mode index incompatible with the period was requested."""
-
-
 class InsufficientSamples(StabilityError):
     """Too few or badly placed samples for finite-difference estimates."""

@@ -339,11 +339,9 @@ class EigenStats(Record, frozen=True):
     """What one eigen call did.  method names the route, "circulant_symbol"
     or "dense_eigh", or is "none" exactly when note is set, naming why no
     eigenvalue was computed (a zero operator or an empty constraint).
-    Neither route iterates, so iterations and converged are constants of
-    the class, 0 and True."""
+    Neither route iterates, so iterations is a constant of the class, 0."""
 
     iterations = 0
-    converged = True
     note: str = ""
     method: str = "dense_eigh"
 
@@ -381,11 +379,9 @@ def second_variation_value(state, gram, phi, rtol=elliptic.DEFAULT_RTOL,
     return (result, vfield) if with_field else result
 
 
-def lambda1(op, seed=None):
-    """Leading eigenvalue of T on the restriction subspace.
-
-    seed is accepted and ignored: neither spectral route has a random start.
-    """
+def lambda1(op):
+    """Leading eigenvalue of T on the restriction subspace, with its
+    EigenStats."""
     values, stats = op.spectrum()
     return float(values[0]), stats
 

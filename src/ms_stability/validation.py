@@ -106,7 +106,8 @@ def energy_along_flow(domain, curve, flow, grid, rtol=elliptic.DEFAULT_RTOL,
 
 def _start(solved, t, hermite=None):
     """A CG start at time t from the (time, solution) pairs of solved, at
-    distinct times; None when there is nothing to start from.
+    distinct times; None when there is nothing to start from.  The start
+    is a new array, which the solve it is handed to overwrites.
 
     Without hermite, the Lagrange polynomial through solved, at t.  With
     hermite = (u0, rate), the solution and its t-derivative at t = 0, the
@@ -157,8 +158,13 @@ def flow_rates(state, vfield, phi):
     included: central differences inside, the second-order one-sided one
     on the curve row.  Only the unknown rows are returned.  On the flat
     base this matches central differences of re-solved flowed states to
-    the discretization error of d_y u0; a curved base's rows are sheared,
-    and there it does not hold.
+    the discretization error of d_y u0.  On a curved base it misses them
+    (by 2.4e-2 on the sine curve of amplitude 0.05), for two reasons: the
+    transport field there is the state's derivative under the normal
+    component phi / sqrt(1 + psi'^2), not under phi, and column i's rows
+    are (a -+ psi_i) / ny apart, not (a -+ psi_0) / ny.  Corrected for
+    both, the rate meets the flowed states at second order; at 64^2 the
+    normal component alone leaves 8.7e-3 and the spacing alone 2.41e-2.
     """
     system = state.system
     a, ny = system.domain.half_height, system.grid.ny
@@ -262,11 +268,13 @@ def validate_second_variation(domain, curve, grid, psi, step=DEFAULT_STEP,
     transport field), then drops it.  Only then does it flow the curve by
     psi at times {+-step, +-2 step} with energy_along_flow, started from
     those unknowns and that rate (the base energy is the t = 0 sample).
-    On a curved base flow_rates misses the flowed states by 2e-2 to 4e-1
-    (sine curves at 64^2), and Hermite starts from it cost more CG
-    iterations than Lagrange ones, so the flow gets no rate.  The flow
-    assembles one half strip at a time, so once the base system is gone
-    at most one _Component is alive.  Finally it Richardson-extrapolates
+    On a curved base flow_rates misses the flowed states (see there), so
+    the flow gets no rate.  Even a rate corrected to second order would
+    not pay: on the sine curve of amplitude 0.05, Hermite starts from it
+    took 56, 50 and 44 flowed CG iterations at 32^2, 64^2 and 128^2,
+    against 49, 48 and 45 for Lagrange ones.  The flow assembles one half
+    strip at a time, so once the base system is gone at most one
+    _Component is alive.  Finally it Richardson-extrapolates
     g'(0) and g''(0) and compares g''(0) with the assembled form.  The
     first derivative must vanish relative to the base energy for a
     critical pair; a large transmission residual is flagged

@@ -305,12 +305,14 @@ def test_duplicate_key_is_named(tmp_path, capsys):
     assert "error: ConfigInvalid: duplicate key 'nx'" in err
 
 
-def test_odd_mode_is_surfaced(tmp_path, capsys):
-    cfg = strip_config(tmp_path, eigen={"modes": [3]})
-    code = main(["compare", "--config", cfg])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error: OddMode" in err
+def test_odd_mode_is_accepted(tmp_path, capsys):
+    # a mode k is cos(2 pi k x / b), b-periodic for every integer k >= 1
+    cfg = strip_config(tmp_path, eigen={"modes": [1, 3]})
+    code, report = run_json(capsys, ["oracle", "--config", cfg])
+    assert code == 0
+    modes = report["results"]["modes"]
+    assert list(modes) == ["1", "3"]
+    assert modes["3"]["value"] == mode_lambda(3, 1.0, 1.0)
 
 
 def test_validate_passes_on_flat_interface(tmp_path, capsys):
@@ -378,7 +380,7 @@ def test_validate_constant_flow_translates_the_flat_pair(tmp_path, capsys):
 
 
 def test_compare_passes_for_resolved_mode(tmp_path, capsys):
-    cfg = strip_config(tmp_path, eigen={"modes": [2]})
+    cfg = strip_config(tmp_path, eigen={"modes": [1]})
     code = main(["compare", "--config", cfg])
     out = capsys.readouterr().out
     assert code == 0
@@ -387,8 +389,8 @@ def test_compare_passes_for_resolved_mode(tmp_path, capsys):
 
 
 def test_compare_fails_on_underresolved_modes(tmp_path, capsys):
-    # modes 4 and 6 exceed the 2% gate on a 32^2 grid; the command says so
-    cfg = strip_config(tmp_path, eigen={"modes": [2, 4, 6]})
+    # modes 2 and 3 exceed the 2% gate on a 32^2 grid; the command says so
+    cfg = strip_config(tmp_path, eigen={"modes": [1, 2, 3]})
     code = main(["compare", "--config", cfg])
     out = capsys.readouterr().out
     assert code == 2
@@ -396,7 +398,7 @@ def test_compare_fails_on_underresolved_modes(tmp_path, capsys):
 
 
 def test_compare_json_report(tmp_path, capsys):
-    cfg = strip_config(tmp_path, eigen={"modes": [2]})
+    cfg = strip_config(tmp_path, eigen={"modes": [1]})
     out_path = tmp_path / "compare.json"
     code = main(["compare", "--config", cfg, "--out", str(out_path)])
     assert code == 0
@@ -407,7 +409,7 @@ def test_compare_json_report(tmp_path, capsys):
 
 def test_compare_needs_a_coarser_grid(tmp_path, capsys):
     # the coarse grid is max(16, nx // 2), so nx = 16 has none
-    cfg = strip_config(tmp_path, n=16, eigen={"modes": [2]})
+    cfg = strip_config(tmp_path, n=16, eigen={"modes": [1]})
     code = main(["compare", "--config", cfg])
     captured = capsys.readouterr()
     assert code == 1
@@ -422,7 +424,7 @@ def test_oracle_strip_values(tmp_path, capsys):
     assert code == 0
     assert report["results"]["lambda1"]["value"] == pytest.approx(
         (2.0 / math.pi) * math.tanh(2.0 * math.pi), rel=1e-14)
-    assert report["results"]["modes"]["4"]["provenance"] == "analytic"
+    assert report["results"]["modes"]["2"]["provenance"] == "analytic"
 
 
 def test_oracle_segment_exit_code(tmp_path, capsys):
@@ -677,7 +679,7 @@ def test_no_command_loads_scipy(tmp_path):
         "grid": {"nx": 32, "ny": 32}, "eigen": {"compute_mu": True}})
     modes = write_config(tmp_path, "modes.json", {
         "geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
-        "grid": {"nx": 32, "ny": 32}, "eigen": {"modes": [2]}})
+        "grid": {"nx": 32, "ny": 32}, "eigen": {"modes": [1]}})
     concave = write_config(tmp_path, "concave.json", {
         "geometry": {"kind": "segment", "length": 1.0, "h1": -1.0, "h2": -1.0}})
     convex = write_config(tmp_path, "convex.json", {
@@ -713,7 +715,7 @@ def test_no_command_loads_scipy(tmp_path):
     assert results["mu"]["value"] == pytest.approx(1.6008076906156, rel=5e-12)
 
 
-def test_oracle_rejects_mode_below_two_at_parse(tmp_path, capsys):
+def test_oracle_rejects_mode_below_one_at_parse(tmp_path, capsys):
     cfg = strip_config(tmp_path, eigen={"modes": [0]})
     assert main(["oracle", "--config", cfg]) == 1
     err = capsys.readouterr().err
@@ -794,7 +796,7 @@ def with_section(name, **keys):
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
       "validate": {"flow": {"mode": HUGE}}}, "validate.flow.mode"),
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
-      "eigen": {"modes": [2, HUGE]}}, "eigen.modes[1]"),
+      "eigen": {"modes": [1, HUGE]}}, "eigen.modes[1]"),
     ({"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
                    "boundary": {"top": {"cos": [[HUGE, 0.1]]}}}},
      "geometry.boundary.top.cos[0]"),
@@ -884,8 +886,8 @@ NUMERIC_KEYS = [
     ("solver.rtol", "positive", lambda v: with_section("solver", rtol=v)),
     ("eigen.seed", ("integer", None), lambda v: with_section("eigen", seed=v)),
     ("eigen.band", "positive", lambda v: with_section("eigen", band=v)),
-    ("eigen.modes[1]", ("integer", 2),
-     lambda v: with_section("eigen", modes=[2, v])),
+    ("eigen.modes[1]", ("integer", 1),
+     lambda v: with_section("eigen", modes=[1, v])),
     ("validate.flow.mode", ("integer", 1),
      lambda v: with_section("validate", flow={"mode": v})),
     ("validate.flow.amplitude", "number",
@@ -1295,9 +1297,9 @@ def test_oracle_follows_the_wall_slopes(tmp_path, capsys, boundary, scale):
     results = report["results"]
     assert results["lambda1"]["value"] == pytest.approx(
         scale * lambda1_strip(1.0, 1.0), rel=1e-15)
-    for n in (2, 4, 6):
-        assert results["modes"][str(n)]["value"] == pytest.approx(
-            scale * mode_lambda(n, 1.0, 1.0), rel=1e-15)
+    for k in (1, 2, 3):
+        assert results["modes"][str(k)]["value"] == pytest.approx(
+            scale * mode_lambda(k, 1.0, 1.0), rel=1e-15)
     # the closed-form verdict is the one the solver reaches
     analyze_code, analyze = run_json(capsys, ["analyze", "--config", cfg])
     assert (code, report["verdict"]) == (analyze_code, analyze["verdict"])
@@ -1343,7 +1345,7 @@ def test_compare_ignores_the_configured_walls(tmp_path, capsys):
             geometry["boundary"] = boundary
         cfg = write_config(tmp_path, name + ".json", {
             "geometry": geometry, "grid": {"nx": 32, "ny": 32},
-            "eigen": {"modes": [2]}})
+            "eigen": {"modes": [1]}})
         out_path = tmp_path / (name + "-compare.json")
         assert main(["compare", "--config", cfg, "--out", str(out_path)]) == 0
         reports.append(out_path.read_bytes())

@@ -331,7 +331,7 @@ def test_energy_of_analytic_mode_matches_quadrature_oracle():
     a = b = 1.0
     k = 2.0 * math.pi / b
     domain = drift_domain(a, b)
-    field = ms.strip_mode_field(2, 1.0, domain, ms.Grid(96, 96))
+    field = ms.strip_mode_field(1, 1.0, domain, ms.Grid(96, 96))
 
     def dens(y):
         # int over x of |grad v|^2 at height y, for v = sin(kx) sinh(k(a-y))
@@ -509,7 +509,7 @@ def test_cg_from_its_exact_solution_takes_no_iteration():
     domain = ms.StripDomain(1.0, 1.0, ms.BoundaryData(0.0), ms.BoundaryData(0.0))
     comp = elliptic.StripSystem(domain, curve, ms.Grid(32, 24)).upper
     x = np.random.default_rng(3).standard_normal(comp.n_unknown)
-    got, stats = comp.solve(comp._apply(x), 1e-10, start=x)
+    got, stats = comp.solve(comp._apply(x), 1e-10, start=x.copy())
     assert stats == elliptic.SolveStats(0, 0.0)
     np.testing.assert_array_equal(got, x)
 

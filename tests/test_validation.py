@@ -346,6 +346,68 @@ def test_flow_rate_carries_the_rows_motion(pair):
             assert relative_gap(v, fd) >= 1e-2
 
 
+def curved_rate_gaps(n):
+    """Relative gaps to the central difference of the flowed unknowns on
+    the sine curve of mode 1 and amplitude 0.05 under the canonical walls,
+    upper then lower, of four rates v + V d_y u0: v the transport field at
+    the vertical phi or at its normal component phi_n = phi / sqrt(1 +
+    psi'^2), and d_y u0 on the row spacing of column 0 or on each column's
+    own, (a -+ psi_i) / ny.  Keyed (field, spacing); ("vertical",
+    "shared") is flow_rates itself."""
+    rtol, h = 1e-13, 1e-4
+    domain = drift_domain(1.0, 1.0)
+    curve = ms.sinusoidal_curve(1.0, n, mode=1, amplitude=0.05)
+    grid = ms.Grid(n, n)
+    phi = np.sin(2.0 * np.pi * curve.abscissae)
+    state, _ = ms.solve_state(domain, curve, grid, rtol=rtol)
+    gram = ms.assemble_tilde_gram(curve, "none")
+    fields = {
+        name: ms.second_variation_value(state, gram, p, rtol=rtol,
+                                        with_field=True)[1]
+        for name, p in (("vertical", phi),
+                        ("normal", phi / np.sqrt(1.0 + curve.derivatives[0] ** 2)))}
+    flow = ms.FlowSpec(direction=phi, half_height=domain.half_height)
+    speed = np.outer(1.0 - np.arange(n + 1) / n, phi)   # 0 on the wall row
+    library = ms.flow_rates(state, fields["vertical"], phi)
+    gaps = {}
+    for k, (side, sign) in enumerate((("upper", 1.0), ("lower", -1.0))):
+        up, down = (elliptic.side_energy(domain, ms.flow_curve(curve, flow, t),
+                                         grid, side, rtol=rtol)[1]
+                    for t in (h, -h))
+        fd = (up - down) / (2.0 * h)
+        rows = np.gradient(state._pick(side)[1], axis=0, edge_order=2) * n
+        rates = {("vertical", "shared"): library[k]}
+        for name, spacing in (("vertical", "own"), ("normal", "shared"),
+                              ("normal", "own")):
+            height = 1.0 - sign * (curve.heights if spacing == "own"
+                                   else curve.heights[0])
+            rate = fields[name]._pick(side)[1] + sign * speed * rows / height
+            rates[name, spacing] = rate[:-1].ravel()
+        for key, rate in rates.items():
+            gaps.setdefault(key, []).append(relative_gap(rate, fd))
+    return gaps
+
+
+def test_curved_flow_rate_needs_the_normal_component_and_own_spacing():
+    # On a curved base the mesh rows of column i are (a -+ psi_i) / ny
+    # apart, and the transport field is the state's derivative under the
+    # normal displacement phi_n, not under the vertical phi.  With both,
+    # the rate meets the flowed states at about second order (measured
+    # 3.3e-3 at 32^2, 9.6e-4 at 64^2 and 2.7e-4 at 128^2, both sides).
+    # flow_rates, at the vertical phi on column 0's spacing, misses them
+    # by 2.4e-2 on every grid; at 64^2 the own spacing alone leaves 2.41e-2
+    # and phi_n alone 8.7e-3, so the normal component is most of the gap.
+    coarse, fine = curved_rate_gaps(32), curved_rate_gaps(64)
+    for gaps in (coarse, fine):
+        assert min(gaps["vertical", "shared"]) >= 2e-2
+        assert min(gaps["vertical", "own"]) >= 2e-2
+        assert min(gaps["normal", "shared"]) >= 5e-3
+    assert max(coarse["normal", "own"]) <= 4e-3
+    assert max(fine["normal", "own"]) <= 1.2e-3
+    for c, f in zip(coarse["normal", "own"], fine["normal", "own"]):
+        assert math.log2(c / f) >= 1.6
+
+
 def test_flow_escape_propagates():
     domain = drift_domain(1.0, 1.0)
     curve = ms.flat_curve(1.0, 16)
