@@ -6,12 +6,15 @@ analyze       solve one configuration and report the stability verdict
 phase-diagram sweep an (a, b) lattice and emit a deterministic CSV
 validate      finite-difference cross-check of the assembled form
 compare       numeric solver versus closed-form references
-oracle        closed-form values only (no PDE solve on the strip)
+oracle        closed-form values on a strip (no PDE solve); on a segment,
+              the same numeric verdict as analyze
 
-Exit codes: 0 stable / passed, 1 error, 2 cross-check failed,
-3 unstable, 4 marginal.  Every reported number carries a provenance
-tag: "numeric" (assembled/iterated), "analytic" (closed form) or "fd"
-(finite differences of the energy).
+Each command writes one report, JSON or (phase-diagram) CSV, to stdout
+or to --out, and nothing else to stdout.  Exit codes: 0 stable /
+passed, 1 error, 2 cross-check failed, 3 unstable, 4 marginal.  Every
+reported number carries a provenance tag: "numeric" (assembled or
+iterated), "analytic" (closed form) or "fd" (finite differences of the
+energy).
 """
 
 import argparse
@@ -35,7 +38,6 @@ VERDICT_EXIT = {
     "unstable": EXIT_UNSTABLE,
     "marginal": EXIT_MARGINAL,
 }
-COMMANDS = ("analyze", "phase-diagram", "validate", "compare", "oracle")
 CSV_HEADER = "a,b,lambda1_numeric,lambda1_analytic,verdict,grid_nx,grid_ny,residual"
 
 
@@ -66,8 +68,10 @@ def _emit(text, out_path):
                             % (out_path, exc.strerror or exc)) from exc
 
 
-def _json_text(report):
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json_report(report):
+    """A runner's (text, exit code) for its JSON report."""
+    return (json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n",
+            report["exit_code"])
 
 
 def _require_strip(cfg, command):
@@ -174,7 +178,7 @@ def _analyze_strip(cfg):
         },
         "notes": notes,
     }
-    return report, VERDICT_EXIT[verdict]
+    return _json_report(report)
 
 
 def _segment_report(cfg, command):
@@ -195,16 +199,16 @@ def _segment_report(cfg, command):
             "second_variation_constant": _num(-seg.h1 - seg.h2, "analytic"),
         },
     }
-    return report, VERDICT_EXIT[verdict]
+    return report
 
 
 def _analyze_segment(cfg):
-    report, code = _segment_report(cfg, "analyze")
+    report = _segment_report(cfg, "analyze")
     report["results"]["lambda1"] = _num(0.0, "analytic")
     report["results"]["mu"] = _num(math.inf, "analytic")
     report["notes"] = ["empty constraint: the nonlocal operator vanishes on a "
                        "segment, so the verdict is the sign of the local form"]
-    return report, code
+    return _json_report(report)
 
 
 def _run_analyze(cfg):
@@ -308,7 +312,7 @@ def _run_validate(cfg):
         "checks": {"first_ok": bool(rep.first_ok),
                    "second_ok": bool(rep.second_ok)},
     }
-    return report, report["exit_code"]
+    return _json_report(report)
 
 
 # ----------------------------------------------------------------- compare
@@ -352,21 +356,6 @@ def _run_compare(cfg):
     orders_ok = all(order >= 1.8 for _, _, _, order in field_rows)
     code = EXIT_OK if modes_ok and orders_ok else EXIT_CHECK_FAILED
 
-    lines = ["mode comparison (probe data: separated drift pair, flat curve)",
-             "%-6s %-16s %-16s %s" % ("mode", "numeric", "analytic", "rel_error")]
-    for k, num, an, rel in mode_rows:
-        lines.append("%-6d %-16s %-16s %s" % (k, _fmt(num), _fmt(an), _fmt(rel)))
-    lines.append("")
-    lines.append("field convergence (max nodal error, %d^2 -> %d^2 grid)"
-                 % (n_coarse, n_fine))
-    lines.append("%-6s %-16s %-16s %s" % ("solve", "coarse", "fine", "order"))
-    for label, err_c, err_f, order in field_rows:
-        lines.append("%-6s %-16s %-16s %s"
-                     % (label, _fmt(err_c), _fmt(err_f), _fmt(order)))
-    lines.append("")
-    lines.append("result: %s" % ("PASS" if code == EXIT_OK else "FAIL"))
-    table = "\n".join(lines) + "\n"
-
     report = {
         "command": "compare",
         "kind": "strip",
@@ -392,7 +381,7 @@ def _run_compare(cfg):
             for label, err_c, err_f, order in field_rows
         ],
     }
-    return table, report, code
+    return _json_report(report)
 
 
 # ------------------------------------------------------------------ oracle
@@ -400,7 +389,7 @@ def _run_compare(cfg):
 def _run_oracle(cfg):
     geom = cfg.geometry
     if geom.kind == "segment":
-        return _segment_report(cfg, "oracle")
+        return _json_report(_segment_report(cfg, "oracle"))
 
     a = geom.a
     b = geom.b
@@ -429,10 +418,20 @@ def _run_oracle(cfg):
             },
         },
     }
-    return report, VERDICT_EXIT[verdict]
+    return _json_report(report)
 
 
 # -------------------------------------------------------------------- main
+
+_RUNNERS = {
+    "analyze": _run_analyze,
+    "phase-diagram": _run_phase_diagram,
+    "validate": _run_validate,
+    "compare": _run_compare,
+    "oracle": _run_oracle,
+}
+COMMANDS = tuple(_RUNNERS)
+
 
 def _parse_grid_flag(text):
     parts = text.split(",")
@@ -468,7 +467,8 @@ def _build_parser():
                              "over an (a, b) lattice; validate: finite-"
                              "difference check of the assembled form; "
                              "compare: solver against closed forms; oracle: "
-                             "closed-form values only")
+                             "closed-form values on a strip, the local-form "
+                             "verdict on a segment")
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="JSON configuration file")
     parser.add_argument("--out", default=None, metavar="PATH",
@@ -477,7 +477,8 @@ def _build_parser():
                         help="override grid.nx and grid.ny")
     parser.add_argument("--restriction", default=None,
                         choices=second_variation.RESTRICTIONS,
-                        help="override eigen.restriction")
+                        help="override eigen.restriction, which only "
+                             "analyze on a strip and phase-diagram read")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="accepted and checked (N >= 1) but ignored: "
                              "every command runs serially")
@@ -487,28 +488,11 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        cfg = _apply_overrides(load_config(args.config), args)
         if args.jobs < 1:  # --jobs has no effect, but stays validated
             raise ConfigInvalid("--jobs must be >= 1")
-
-        if args.command == "analyze":
-            report, code = _run_analyze(cfg)
-            _emit(_json_text(report), cfg.out_path)
-        elif args.command == "phase-diagram":
-            csv_text, code = _run_phase_diagram(cfg)
-            _emit(csv_text, cfg.out_path)
-        elif args.command == "validate":
-            report, code = _run_validate(cfg)
-            _emit(_json_text(report), cfg.out_path)
-        elif args.command == "compare":
-            table, report, code = _run_compare(cfg)
-            sys.stdout.write(table)
-            if cfg.out_path:
-                _emit(_json_text(report), cfg.out_path)
-        else:
-            report, code = _run_oracle(cfg)
-            _emit(_json_text(report), cfg.out_path)
+        text, code = _RUNNERS[args.command](cfg)
+        _emit(text, cfg.out_path)
         return code
     except (StabilityError, ValueError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

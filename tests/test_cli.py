@@ -381,20 +381,20 @@ def test_validate_constant_flow_translates_the_flat_pair(tmp_path, capsys):
 
 def test_compare_passes_for_resolved_mode(tmp_path, capsys):
     cfg = strip_config(tmp_path, eigen={"modes": [1]})
-    code = main(["compare", "--config", cfg])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "PASS" in out
-    assert "order" in out
+    code, report = run_json(capsys, ["compare", "--config", cfg])
+    assert code == report["exit_code"] == 0
+    assert report["passed"] is True
+    assert [row["solve"] for row in report["fields"]] == ["state", "jump"]
 
 
 def test_compare_fails_on_underresolved_modes(tmp_path, capsys):
-    # modes 2 and 3 exceed the 2% gate on a 32^2 grid; the command says so
+    # modes 2 and 3 exceed the 2% gate on a 32^2 grid; the report says so
     cfg = strip_config(tmp_path, eigen={"modes": [1, 2, 3]})
-    code = main(["compare", "--config", cfg])
-    out = capsys.readouterr().out
-    assert code == 2
-    assert "FAIL" in out
+    code, report = run_json(capsys, ["compare", "--config", cfg])
+    assert code == report["exit_code"] == 2
+    assert report["passed"] is False
+    assert [row["rel_error"]["value"] > 0.02 for row in report["modes"]] == [
+        False, True, True]
 
 
 def test_compare_json_report(tmp_path, capsys):
@@ -499,6 +499,40 @@ def test_unwritable_out_is_an_error_line(tmp_path, capsys, monkeypatch,
     assert captured.out == ""
     assert captured.err.startswith("error: ConfigInvalid: cannot write output "
                                    "file %s: " % out)
+
+
+FLAT_32 = {"geometry": {"kind": "strip", "a": 1.0, "b": 1.0},
+           "grid": {"nx": 32, "ny": 32}}
+OUTPUT_RULE_CONFIGS = {
+    "analyze": FLAT_32,
+    "validate": FLAT_32,
+    "phase-diagram": {"geometry": {"kind": "strip", "a_values": [0.5, 1.0],
+                                   "b_values": [1.0, 2.0]},
+                      "grid": {"nx": 16, "ny": 16}},
+    "compare": dict(FLAT_32, eigen={"modes": [1]}),
+    "oracle": {"geometry": {"kind": "segment", "length": 1.0,
+                            "h1": -1.0, "h2": -1.0}},
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_writes_one_report(tmp_path, capsys, monkeypatch,
+                                         command):
+    # stdout carries exactly the bytes --out would hold, --out leaves
+    # stdout empty, and an unwritable --out prints nothing on stdout
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, "cfg.json", OUTPUT_RULE_CONFIGS[command])
+    assert main([command, "--config", cfg]) == 0
+    printed = capsys.readouterr().out
+    assert main([command, "--config", cfg, "--out", "report.out"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "report.out").read_bytes() == printed.encode()
+
+    assert main([command, "--config", cfg, "--out", "missing/report.out"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigInvalid: cannot write output "
+                                   "file missing/report.out: ")
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
@@ -645,9 +679,9 @@ def test_canonical_report_has_no_closed_form_note(tmp_path, capsys):
 
 # Runs CLI calls in a fresh interpreter and lists the scipy and
 # concurrent.futures modules loaded after the import and after each call.
-# What a call prints (compare's table) goes to stderr.
+# Every call writes its report to --out, so stdout holds only the steps.
 SCIPY_PROBE = textwrap.dedent("""
-    import contextlib, json, sys
+    import json, sys
     from ms_stability.cli import main
 
     def scipy_modules():
@@ -656,8 +690,7 @@ SCIPY_PROBE = textwrap.dedent("""
 
     steps = [["import", None, scipy_modules()]]
     for name, argv in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(sys.stderr):
-            code = main(argv)
+        code = main(argv)
         steps.append([name, code, scipy_modules()])
     print(json.dumps(steps))
 """)
