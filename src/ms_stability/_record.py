@@ -42,14 +42,11 @@ class Record:
         cls._defaults = dict(cls._defaults)
         cls._defaults.update((name, cls.__dict__[name]) for name in annotations
                              if name in cls.__dict__)
-        cls.__match_args__ = cls._fields
         cls.__signature__ = inspect.Signature([
             inspect.Parameter(name, _POSITIONAL_OR_KEYWORD,
                               default=cls._defaults.get(name, _EMPTY),
                               annotation=annotations.get(name, _EMPTY))
             for name in cls._fields], return_annotation=None)
-        if cls.__doc__ is None:
-            cls.__doc__ = cls.__name__ + str(cls.__signature__).replace(" -> None", "")
         if frozen:
             cls.__setattr__ = _refuse_setattr
             cls.__delattr__ = _refuse_delattr

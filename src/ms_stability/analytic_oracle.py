@@ -64,7 +64,7 @@ def strip_mode_field(k, amplitude, domain, grid):
     wave = 2 * _check_mode(k) * math.pi / domain.period
     curve = geometry.flat_curve(domain.period, grid.nx)
     system = elliptic.StripSystem(domain, curve, grid)
-    x = system.abscissae
+    x = curve.abscissae
     y = a * (np.arange(grid.ny + 1) / grid.ny)
     values = amplitude * np.sin(wave * x)[None, :] * np.sinh(wave * (a - y))[:, None]
     return elliptic.SlitField(

@@ -91,16 +91,18 @@ def _wall_scale(geom):
     """Factor by which geom's walls scale T on a flat curve; nan with overtones.
 
     Linear walls s+ x + c+ and s- x + c- scale T by (s+^2 + s-^2) / 2,
-    which is exactly 1 on the canonical pair.  Walls with cos/sin
-    overtones have no closed form.
+    which is exactly 1 on the canonical pair.  Walls with a cos/sin
+    overtone of nonzero amplitude have no closed form; a zero amplitude
+    leaves the wall linear.
     """
-    if geom.top.cos or geom.top.sin or geom.bottom.cos or geom.bottom.sin:
+    if any(amp for wall in (geom.top, geom.bottom)
+           for _, amp in wall.cos + wall.sin):
         return math.nan
     return (geom.top.slope ** 2 + geom.bottom.slope ** 2) / 2.0
 
 
 def _flat_closed_form(geom, a, b):
-    """Flat-curve lambda_1 for geom's walls; nan if a wall has overtones."""
+    """Flat-curve lambda_1 for geom's walls; nan where _wall_scale is."""
     return _wall_scale(geom) * analytic_oracle.lambda1_strip(a, b)
 
 
@@ -494,7 +496,7 @@ def main(argv=None):
         text, code = _RUNNERS[args.command](cfg)
         _emit(text, cfg.out_path)
         return code
-    except (StabilityError, ValueError) as exc:
+    except (StabilityError, ValueError, OverflowError) as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return EXIT_ERROR
 

@@ -597,10 +597,6 @@ class StripSystem:
             self.lower = self.upper
         self.sides = (("upper", self.upper), ("lower", self.lower))
 
-    @property
-    def abscissae(self):
-        return self.curve.abscissae
-
 
 class SlitField(Record):
     """Scalar field on the slit strip: drift slope plus periodic values.
@@ -619,7 +615,7 @@ class SlitField(Record):
     def trace(self, side):
         """Field values on the curve nodes from one side."""
         slope, w = self._pick(side)
-        return slope * self.system.abscissae + w[0]
+        return slope * self.system.curve.abscissae + w[0]
 
     def jump(self):
         """Trace difference u_plus - u_minus across the cut."""
@@ -676,7 +672,7 @@ def solve_state(domain, curve, grid, rtol=DEFAULT_RTOL):
     """
     system = StripSystem(domain, curve, grid)
     data = (domain.top, domain.bottom)
-    problems = [_state_problem(comp, datum, system.abscissae)
+    problems = [_state_problem(comp, datum, curve.abscissae)
                 for (_, comp), datum in zip(system.sides, data)]
     return _solve_sides(system, problems,
                         (domain.top.slope, domain.bottom.slope), rtol)

@@ -31,7 +31,7 @@ class DegeneratePencil(StabilityError):
 
 
 class InvalidRestriction(StabilityError):
-    """An admissible-subspace restriction does not apply to the geometry."""
+    """The admissible-subspace restriction name is unknown."""
 
 
 class InsufficientSamples(StabilityError):

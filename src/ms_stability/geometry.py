@@ -21,8 +21,7 @@ from .errors import CurveEscapesStrip
 
 
 def _as_readonly_array(values):
-    arr = np.asarray(values, dtype=float)
-    arr = np.array(arr, dtype=float, copy=True)
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 

@@ -308,7 +308,7 @@ class TOperator:
         if self.gram.restriction != "mean_zero":
             return None
         for data in (system.domain.top, system.domain.bottom):
-            wall = data.sample(system.abscissae)
+            wall = data.sample(system.curve.abscissae)
             if np.any(wall != wall[0]):
                 return None
         weight = 0.0  # sum_+- h+-^2 x^+-

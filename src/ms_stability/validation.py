@@ -53,7 +53,7 @@ def criticality_residuals(state):
         sup_residual=float(np.max(np.abs(residuals))),
         residuals=residuals,
         min_jump=min_jump,
-        argmin_jump=float(state.system.abscissae[worst]),
+        argmin_jump=float(state.system.curve.abscissae[worst]),
         jump_ok=min_jump > JUMP_THRESHOLD,
     )
 
@@ -183,55 +183,37 @@ class FDEstimate(Record, frozen=True):
     second: float
     first_error: float
     second_error: float
-    steps: tuple
 
 
 def fd_derivatives(ts, gs):
     """Richardson-extrapolated central derivatives of samples g(t) at 0.
 
-    Needs the sample at t = 0 and symmetric pairs at two step sizes
-    (five points at least); uses the two smallest scales.  The reported
-    error bars are the differences between the extrapolated and the
-    plain small-step central estimates.
+    ts must be (-2h, -h, 0, h, 2h) in that order, with h = ts[3] > 0, and
+    gs the samples g(t) there.  The central differences at the steps h
+    and 2h are combined by one Richardson step, (4 d_h - d_2h) / 3.  The
+    reported error bars are the differences between the extrapolated and
+    the plain step-h central estimates.
     """
     ts = np.asarray(ts, dtype=float)
     gs = np.asarray(gs, dtype=float)
-    if ts.size != gs.size:
-        raise InsufficientSamples("sample times and values differ in length")
-    if ts.size < 5:
-        raise InsufficientSamples("need at least 5 samples (0 and 2 pairs)")
-    order = np.argsort(ts)
-    ts, gs = ts[order], gs[order]
-    scale = np.max(np.abs(ts))
-    at_zero = np.nonzero(np.abs(ts) <= 1e-14 * scale)[0]
-    if at_zero.size != 1:
-        raise InsufficientSamples("need exactly one sample at t = 0")
-    g0 = gs[at_zero[0]]
-    pos = {t: g for t, g in zip(ts, gs) if t > 0}
-    neg = {-t: g for t, g in zip(ts, gs) if t < 0}
-    steps = sorted(set(pos) & set(neg))
-    if len(steps) < 2:
-        raise InsufficientSamples("need symmetric samples at 2 step sizes")
-    h1, h2 = steps[0], steps[1]
-    if not h2 > h1 * (1.0 + 1e-12):
-        raise InsufficientSamples("step sizes must be distinct")
+    h = ts[3] if ts.shape == gs.shape == (5,) else 0.0
+    if not h > 0.0 or list(ts) != [-2.0 * h, -h, 0.0, h, 2.0 * h]:
+        raise InsufficientSamples("need samples at t = -2h, -h, 0, h, 2h "
+                                  "with h > 0, in that order")
 
-    def central(h):
-        d1 = (pos[h] - neg[h]) / (2.0 * h)
-        d2 = (pos[h] - 2.0 * g0 + neg[h]) / (h * h)
-        return d1, d2
+    def central(step, g_minus, g_plus):
+        return ((g_plus - g_minus) / (2.0 * step),
+                (g_plus - 2.0 * gs[2] + g_minus) / (step * step))
 
-    d1_small, d2_small = central(h1)
-    d1_large, d2_large = central(h2)
-    r2 = (h2 / h1) ** 2
-    first = (r2 * d1_small - d1_large) / (r2 - 1.0)
-    second = (r2 * d2_small - d2_large) / (r2 - 1.0)
+    d1_small, d2_small = central(h, gs[1], gs[3])
+    d1_large, d2_large = central(2.0 * h, gs[0], gs[4])
+    first = (4.0 * d1_small - d1_large) / 3.0
+    second = (4.0 * d2_small - d2_large) / 3.0
     return FDEstimate(
         first=first,
         second=second,
         first_error=abs(first - d1_small),
         second_error=abs(second - d2_small),
-        steps=(h1, h2),
     )
 
 

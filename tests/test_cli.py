@@ -593,6 +593,24 @@ def test_config_errors_exit_1_with_one_line(tmp_path, capsys, command,
     assert captured.err == "error: ConfigInvalid: %s\n" % message
 
 
+@pytest.mark.parametrize("command,data", [
+    # 2 pi a / b = 6283: the field probe's cosh overflows
+    ("compare", {"geometry": {"kind": "strip", "a": 1.0, "b": 1e-3},
+                 "grid": {"nx": 32, "ny": 32}}),
+    # a finite slope whose square is not
+    ("analyze", {"geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                              "boundary": {"top": {"slope": 1e200}}},
+                 "grid": {"nx": 16, "ny": 16}}),
+], ids=["compare-cosh", "analyze-slope-squared"])
+def test_overflow_exits_1_with_one_line(tmp_path, capsys, command, data):
+    cfg = write_config(tmp_path, "cfg.json", data)
+    with pytest.warns(RuntimeWarning):  # NumPy overflows before Python raises
+        assert main([command, "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: OverflowError: [^\n]*\n", captured.err)
+
+
 def test_config_that_is_not_json_exits_1(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("{geometry: strip}")
@@ -1364,6 +1382,23 @@ def test_overtone_walls_have_no_closed_form(tmp_path, capsys):
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[3] == "nan"
     assert math.isfinite(float(row[2]))
+
+
+@pytest.mark.parametrize("command", ["analyze", "phase-diagram", "oracle"])
+def test_zero_amplitude_overtone_keeps_the_closed_form(tmp_path, capsys,
+                                                       command):
+    # cos(2 pi x / b) times 0 leaves the wall linear, so every output,
+    # closed form included, is the one of the wall without the pair
+    printed = []
+    for top in ({"constant": 1.0}, {"constant": 1.0, "cos": [[1, 0.0]]}):
+        cfg = write_config(tmp_path, "walls.json", {
+            "geometry": {"kind": "strip", "a": 1.0, "b": 1.0,
+                         "a_values": [0.5, 1.0], "b_values": [1.0, 2.0],
+                         "boundary": {"top": top}},
+            "grid": {"nx": 32, "ny": 32}})
+        assert main([command, "--config", cfg]) == 0
+        printed.append(capsys.readouterr())
+    assert printed[0] == printed[1]
 
 
 def test_compare_ignores_the_configured_walls(tmp_path, capsys):

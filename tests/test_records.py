@@ -72,11 +72,10 @@ SAMPLES = {
         sup_residual=1e-12, residuals=np.zeros(8), min_jump=1.0,
         argmin_jump=0.0, jump_ok=True),
     validation.FDEstimate: lambda: dict(
-        first=0.0, second=7.2, first_error=1e-14, second_error=5e-4,
-        steps=(0.005, 0.01)),
+        first=0.0, second=7.2, first_error=1e-14, second_error=5e-4),
     validation.ValidationReport: lambda: dict(
         criticality=_criticality(), base_energy=3.0, ts=np.zeros(5),
-        gs=np.ones(5), fd=validation.FDEstimate(0.0, 7.2, 1e-14, 5e-4, (1, 2)),
+        gs=np.ones(5), fd=validation.FDEstimate(0.0, 7.2, 1e-14, 5e-4),
         assembled=second_variation.SecondVariationResult(0.5, 0.5, 0.0),
         first_ok=True, second_ok=False, mismatch=0.01, non_critical=False),
 }

@@ -35,17 +35,23 @@ def test_fd_on_cosine_with_error_bars():
     assert err_first <= 1e-12
     assert err_second <= 1e-8
     assert err_second <= fd.second_error  # bar dominated by the h^2 term
-    assert fd.steps == (h, 2 * h)
 
 
-def test_fd_accepts_extra_scales_and_uses_smallest():
-    h = 0.02
-    ts = np.array([-4 * h, -2 * h, -h, 0.0, h, 2 * h, 4 * h])
-    gs = np.sin(ts) + 0.5 * ts ** 2
+def test_fd_is_one_richardson_step_bit_for_bit():
+    # 2h and (2h)^2 are exact power-of-two multiples of h and h^2, so the
+    # five-point result is (4 d_h - d_2h) / 3 of the plain central
+    # differences with no rounding of its own
+    h = 0.005
+    ts = [-2 * h, -h, 0.0, h, 2 * h]
+    gs = [3.0017, 3.00031, 3.0, 3.00052, 3.0023]
     fd = ms.fd_derivatives(ts, gs)
-    assert fd.steps == (h, 2 * h)
-    assert fd.first == pytest.approx(1.0, abs=1e-7)  # h^4 term of sin at h=0.02
-    assert fd.second == pytest.approx(1.0, abs=1e-6)
+    d1_h, d1_2h = (gs[3] - gs[1]) / (2 * h), (gs[4] - gs[0]) / (4 * h)
+    d2_h = (gs[3] - 2 * gs[2] + gs[1]) / (h * h)
+    d2_2h = (gs[4] - 2 * gs[2] + gs[0]) / (4 * h * h)
+    assert fd.first == (4 * d1_h - d1_2h) / 3
+    assert fd.second == (4 * d2_h - d2_2h) / 3
+    assert fd.first_error == abs(fd.first - d1_h)
+    assert fd.second_error == abs(fd.second - d2_h)
 
 
 def test_fd_sample_validation():
@@ -61,7 +67,8 @@ def test_fd_sample_validation():
 
 def test_fd_refuses_step_sizes_within_rounding():
     h1, h2 = 0.01, 0.01 * (1.0 + 1e-13)
-    with pytest.raises(InsufficientSamples, match="step sizes must be distinct"):
+    with pytest.raises(InsufficientSamples,
+                       match="need samples at t = -2h, -h, 0, h, 2h"):
         ms.fd_derivatives([-h2, -h1, 0.0, h1, h2], np.ones(5))
 
 
